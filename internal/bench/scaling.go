@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"wardrop/internal/flow"
 	"wardrop/internal/solver"
@@ -25,6 +26,10 @@ type ScalingMeasurement struct {
 	Edges       int    `json:"edges"`
 	ActualEdges int    `json:"actualEdges"`
 	Paths       int    `json:"paths"`
+	// BuildNs is the wall time of one instance build: generating the graph
+	// and searching every commodity's k shortest paths (concurrently, on
+	// up to GOMAXPROCS goroutines).
+	BuildNs float64 `json:"buildNs"`
 	// Workers is the parallelism the parallel measurement ran under
 	// (min(GOMAXPROCS, evaluator cap)); 1 on a single-core runner, where
 	// ParallelNs degenerates to SerialNs.
@@ -80,10 +85,12 @@ func scalingPoint(edges int) (ScalingMeasurement, error) {
 		kPaths      = 8
 		seed        = 0x5ca1e
 	)
+	start := time.Now()
 	inst, err := topo.SparseRandom(edges, 4, commodities, kPaths, seed)
 	if err != nil {
 		return ScalingMeasurement{}, err
 	}
+	buildNs := float64(time.Since(start).Nanoseconds())
 	nE := inst.Graph().NumEdges()
 	nP := inst.NumPaths()
 	m := ScalingMeasurement{
@@ -91,6 +98,7 @@ func scalingPoint(edges int) (ScalingMeasurement, error) {
 		Edges:       edges,
 		ActualEdges: nE,
 		Paths:       nP,
+		BuildNs:     buildNs,
 		Workers:     scalingWorkers(),
 	}
 

@@ -2,10 +2,11 @@ package bench
 
 import "testing"
 
-// A small scaling point exercises the whole pipeline: the generator, the
-// three measurements, the derived ratios and the solver cross-check. Sizes
-// here are far below the crossover threshold, so this also pins that the
-// suite works in the serial regime (the regime CI's smoke point is not in).
+// A small scaling point exercises the whole pipeline: the generator and its
+// build time, the three measurements, the derived ratios and the solver
+// cross-check. Sizes here are far below the crossover threshold, so this
+// also pins that the suite works in the serial regime (the regime CI's
+// smoke point is not in).
 func TestScalingSuiteSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs benchmarks")
@@ -24,7 +25,7 @@ func TestScalingSuiteSmoke(t *testing.T) {
 	if m.Paths <= 0 {
 		t.Errorf("paths = %d, want > 0", m.Paths)
 	}
-	if m.ReferenceNs <= 0 || m.SerialNs <= 0 || m.ParallelNs <= 0 {
+	if m.BuildNs <= 0 || m.ReferenceNs <= 0 || m.SerialNs <= 0 || m.ParallelNs <= 0 {
 		t.Errorf("non-positive timing: %+v", m)
 	}
 	if m.Workers < 1 {

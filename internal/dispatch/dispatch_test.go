@@ -3,6 +3,8 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -91,6 +93,55 @@ func TestDistributedByteIdentity(t *testing.T) {
 	}
 }
 
+// failNode is a test-owned transport that kills one node at a fixed point
+// of the campaign: the request numbered from (counting every request from
+// 1) picks its node as the victim, and that request and every later one to
+// the victim fail as a transport error would. Other requests pass through.
+// The coordinator sends at least one request per unit, so a campaign with
+// at least from units always loses its victim, whatever the scheduling.
+type failNode struct {
+	from int
+
+	mu     sync.Mutex
+	sent   int
+	victim string
+}
+
+func (f *failNode) RoundTrip(req *http.Request) (*http.Response, error) {
+	f.mu.Lock()
+	f.sent++
+	if f.sent == f.from {
+		f.victim = req.URL.Host
+	}
+	fail := req.URL.Host == f.victim
+	f.mu.Unlock()
+	if fail {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, errors.New("injected node failure")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// mustUnits returns the campaign's dedup units, failing the test unless
+// there are at least atLeast of them.
+func mustUnits(t *testing.T, c *sweep.Campaign, atLeast int) []*unit {
+	t.Helper()
+	tasks, err := c.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := buildUnits(c, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) < atLeast {
+		t.Fatalf("campaign has %d units, want at least %d", len(units), atLeast)
+	}
+	return units
+}
+
 // TestWorkerFailureMidCampaign kills one of three workers partway through
 // and requires the merged output to stay byte-identical to a local run: the
 // dead node's tasks must fail over to the survivors.
@@ -101,36 +152,21 @@ func TestWorkerFailureMidCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, https, urls := startWorkers(t, 3, serve.Config{Workers: 2})
+	_, _, urls := startWorkers(t, 3, serve.Config{Workers: 2})
+	kill := &failNode{from: 5}
+	mustUnits(t, c, kill.from)
 
 	var (
-		kill    sync.Once
-		evMu    sync.Mutex
-		deaths  int
-		retries int
+		evMu   sync.Mutex
+		deaths int
 	)
 	opts := Options{
-		Progress: func(done, total int, rec sweep.Record) {
-			if done == 5 {
-				kill.Do(func() {
-					// Sever in-flight connections and the listener from a
-					// separate goroutine: Close blocks on outstanding
-					// requests, and the collector must keep draining.
-					go func() {
-						https[2].CloseClientConnections()
-						https[2].Close()
-					}()
-				})
-			}
-		},
+		Client: &http.Client{Transport: kill},
 		Events: func(ev Event) {
 			evMu.Lock()
 			defer evMu.Unlock()
-			switch ev.Kind {
-			case EventNodeDead:
+			if ev.Kind == EventNodeDead {
 				deaths++
-			case EventRetry:
-				retries++
 			}
 		},
 	}

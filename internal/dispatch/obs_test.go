@@ -2,13 +2,12 @@ package dispatch
 
 import (
 	"context"
+	"net/http"
 	"strings"
-	"sync"
 	"testing"
 
 	"wardrop/internal/obs"
 	"wardrop/internal/serve"
-	"wardrop/internal/sweep"
 )
 
 // TestRunPopulatesMetrics pins the coordinator's instrumentation on a clean
@@ -63,25 +62,15 @@ func TestRunPopulatesMetrics(t *testing.T) {
 // TestNodeDeathMovesCounters kills one of three workers mid-campaign and
 // expects the death and re-home counters to move with the failover.
 func TestNodeDeathMovesCounters(t *testing.T) {
-	// Nine seeds: enough work that the killed node is still busy when the
-	// connections drop, so the death is observed rather than raced past.
 	camp := parseCampaign(t, strings.Replace(campaignDoc, `"seeds": 3`, `"seeds": 9`, 1))
-	_, https, urls := startWorkers(t, 3, serve.Config{Workers: 2})
+	_, _, urls := startWorkers(t, 3, serve.Config{Workers: 2})
+	kill := &failNode{from: 3}
+	mustUnits(t, camp, kill.from)
 
 	reg := obs.NewRegistry()
-	var kill sync.Once
 	res, err := Run(context.Background(), camp, urls, Options{
+		Client:  &http.Client{Transport: kill},
 		Metrics: reg,
-		Progress: func(done, total int, rec sweep.Record) {
-			if done == 3 {
-				kill.Do(func() {
-					go func() {
-						https[0].CloseClientConnections()
-						https[0].Close()
-					}()
-				})
-			}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,5 +80,9 @@ func TestNodeDeathMovesCounters(t *testing.T) {
 	}
 	if got := reg.Counter("dispatch_node_deaths_total", "").Value(); got != 1 {
 		t.Fatalf("node deaths = %d, want 1", got)
+	}
+	// The failed request's unit, at least, moves to a survivor.
+	if got := reg.Counter("dispatch_rehomed_total", "").Value(); got < 1 {
+		t.Fatalf("re-homed units = %d, want >= 1", got)
 	}
 }

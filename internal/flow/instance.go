@@ -17,7 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"wardrop/internal/graph"
 	"wardrop/internal/latency"
@@ -91,13 +93,22 @@ func WithMaxPathLen(n int) Option {
 // ℓ_e(0), with a tiny per-edge penalty breaking zero-latency ties towards
 // fewer hops. Use this instead of full enumeration on graphs whose simple-
 // path count explodes. k <= 0 (the default) enumerates all simple paths.
+// Each ℓ_e(0) is evaluated once, on the calling goroutine; the searches of
+// the commodities then share the compiled weights and run concurrently (see
+// NewInstance). Equal-cost paths are ranked in a fixed order, so the path
+// sets do not depend on GOMAXPROCS. A commodity whose source is its sink
+// has no path and fails the build with graph.ErrNoPath.
 func WithKShortestPaths(k int) Option {
 	return func(o *options) { o.kPaths = k }
 }
 
 // NewInstance validates the inputs, enumerates every commodity's path set and
 // precomputes the instance invariants D (max path length), β (max latency
-// slope) and ℓmax (max zero-excess path latency Σ_{e∈P} ℓ_e(1)).
+// slope) and ℓmax (max zero-excess path latency Σ_{e∈P} ℓ_e(1)). The path
+// sets are built on up to GOMAXPROCS goroutines, one commodity at a time
+// each (a single commodity builds inline); the instance, and the error
+// returned when commodities fail (the lowest-index one's), are the same at
+// any GOMAXPROCS.
 func NewInstance(g *graph.Graph, lats []latency.Function, comms []Commodity, opts ...Option) (*Instance, error) {
 	var o options
 	for _, opt := range opts {
@@ -116,24 +127,39 @@ func NewInstance(g *graph.Graph, lats []latency.Function, comms []Commodity, opt
 		g:           g,
 		latencies:   append([]latency.Function(nil), lats...),
 		commodities: append([]Commodity(nil), comms...),
+		paths:       make([][]graph.Path, len(comms)),
 		offsets:     make([]int, len(comms)+1),
 	}
-	for i, c := range comms {
+	var kpaths *graph.Weighted
+	if o.kPaths > 0 {
+		kpaths = g.Weighted(func(e graph.EdgeID) float64 { return lats[e].Value(0) + 1e-9 })
+	}
+	errs := make([]error, len(comms))
+	forEachCommodity(len(comms), func(i int) {
+		c := comms[i]
 		if c.Demand <= 0 || math.IsNaN(c.Demand) || math.IsInf(c.Demand, 0) {
-			return nil, fmt.Errorf("%w: commodity %d demand %g", ErrBadDemand, i, c.Demand)
+			errs[i] = fmt.Errorf("%w: commodity %d demand %g", ErrBadDemand, i, c.Demand)
+			return
 		}
 		var paths []graph.Path
 		var err error
-		if o.kPaths > 0 {
-			freeFlow := func(e graph.EdgeID) float64 { return lats[e].Value(0) + 1e-9 }
-			paths, err = g.KShortestPaths(c.Source, c.Sink, o.kPaths, freeFlow)
+		if kpaths != nil {
+			paths, err = kpaths.KShortestPaths(c.Source, c.Sink, o.kPaths)
 		} else {
 			paths, err = g.EnumeratePaths(c.Source, c.Sink, o.maxPathLen)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("flow: commodity %d: %w", i, err)
+			errs[i] = fmt.Errorf("flow: commodity %d: %w", i, err)
+			return
 		}
-		inst.paths = append(inst.paths, paths)
+		inst.paths[i] = paths
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	for i, paths := range inst.paths {
 		inst.offsets[i] = inst.totalPaths
 		inst.totalPaths += len(paths)
 		for _, p := range paths {
@@ -157,6 +183,35 @@ func NewInstance(g *graph.Graph, lats []latency.Function, comms []Commodity, opt
 		inst.maxSlope = math.Max(inst.maxSlope, f.SlopeBound())
 	}
 	return inst, nil
+}
+
+// forEachCommodity calls build(i) for every i < n on up to GOMAXPROCS
+// goroutines, each taking the next index in turn, and returns when all
+// calls have. A single commodity or a single processor runs inline.
+func forEachCommodity(n int, build func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			build(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				build(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Graph returns the underlying network.

@@ -67,6 +67,10 @@ func TestKShortestPathsErrors(t *testing.T) {
 	if _, err := g.KShortestPaths(d, s, 2, unitWeight); !errors.Is(err, ErrNoPath) {
 		t.Errorf("unreachable error = %v", err)
 	}
+	// A commodity from a node to itself has no path, as in EnumeratePaths.
+	if paths, err := g.KShortestPaths(s, s, 2, unitWeight); !errors.Is(err, ErrNoPath) || paths != nil {
+		t.Errorf("source equals sink: %v, %v; want ErrNoPath", paths, err)
+	}
 }
 
 func TestKShortestPathsLooplessness(t *testing.T) {

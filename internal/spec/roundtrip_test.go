@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wardrop/internal/graph"
 	"wardrop/internal/latency"
 )
 
@@ -154,6 +155,20 @@ func TestKShortestPathsSpec(t *testing.T) {
 	for _, l := range freeFlow {
 		if l > 2+1e-12 {
 			t.Errorf("kept a path with free-flow latency %g (want the 2 cheapest)", l)
+		}
+	}
+}
+
+// A commodity from a node to itself has no path to route over: the build
+// rejects it whether its strategy space is enumerated or k-shortest.
+func TestSourceEqualsSinkRejected(t *testing.T) {
+	base := `{
+	  "nodes": ["s", "t"],
+	  "edges": [{"from": "s", "to": "t", "latency": {"kind": "constant", "c": 1}}],
+	  "commodities": [{"source": "s", "sink": "t", "demand": 1}, {"source": "t", "sink": "t", "demand": 1}]`
+	for _, doc := range []string{base + `}`, base + `, "kShortestPaths": 2}`} {
+		if inst, err := Parse(strings.NewReader(doc)); !errors.Is(err, graph.ErrNoPath) {
+			t.Errorf("%s\nbuilt %v, error %v; want graph.ErrNoPath", doc, inst, err)
 		}
 	}
 }
