@@ -16,16 +16,26 @@ import (
 )
 
 // syncBuffer is a mutex-guarded buffer the server goroutine writes and the
-// test polls.
+// test reads. After each Write it leaves a token in wrote (capacity one, so
+// writes never block and tokens coalesce): a reader that finds no match in
+// String and then waits on wrote cannot miss a later write.
 type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
+	mu    sync.Mutex
+	b     bytes.Buffer
+	wrote chan struct{}
 }
+
+func newSyncBuffer() *syncBuffer { return &syncBuffer{wrote: make(chan struct{}, 1)} }
 
 func (s *syncBuffer) Write(p []byte) (int, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
+	n, err := s.b.Write(p)
+	s.mu.Unlock()
+	select {
+	case s.wrote <- struct{}{}:
+	default:
+	}
+	return n, err
 }
 
 func (s *syncBuffer) String() string {
@@ -41,26 +51,24 @@ var addrRe = regexp.MustCompile(`listening on (\S+)`)
 func startServer(t *testing.T, args []string) (string, func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	out := &syncBuffer{}
+	out := newSyncBuffer()
 	errCh := make(chan error, 1)
 	go func() { errCh <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), out) }()
 
 	var addr string
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.After(5 * time.Second)
 	for addr == "" {
 		if m := addrRe.FindStringSubmatch(out.String()); m != nil {
 			addr = m[1]
 			break
 		}
 		select {
+		case <-out.wrote:
 		case err := <-errCh:
 			t.Fatalf("server exited before listening: %v\n%s", err, out.String())
-		default:
-		}
-		if time.Now().After(deadline) {
+		case <-deadline:
 			t.Fatalf("no listen address announced:\n%s", out.String())
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	return "http://" + addr, func() {
 		cancel()

@@ -39,8 +39,29 @@ var DefaultCountPopulations = []int64{1_000, 10_000, 100_000, 1_000_000, 10_000_
 // growth is visible well before the engine's hard cap.
 var DefaultAgentPopulations = []int64{1_000, 10_000, 100_000}
 
-// meanfieldPhases is the phase count of one benchmark run (horizon / T).
-const meanfieldPhases = 40
+// The suite's run shape: update period, horizon and their ratio, the
+// phase count of one benchmark run.
+const (
+	meanfieldT       = 0.25
+	meanfieldHorizon = 10.0
+	meanfieldPhases  = 40
+)
+
+// countRun returns one full count-engine run on the suite's workload at
+// population n, on workspace ws.
+func countRun(inst *flow.Instance, pol policy.Policy, ws *flow.Workspace, n int64) func() error {
+	return func() error {
+		sim, err := meanfield.New(inst, meanfield.Config{
+			N: n, Policy: pol, UpdatePeriod: meanfieldT, Horizon: meanfieldHorizon,
+			Seed: 7, Workspace: ws,
+		})
+		if err != nil {
+			return err
+		}
+		_, err = sim.RunContext(context.Background())
+		return err
+	}
+}
 
 // MeanfieldSuite measures the population-scaling curve on a shared Braess
 // workload: one op is a full 40-phase run, reported as ns/phase. Pass nil
@@ -60,22 +81,10 @@ func MeanfieldSuite(countNs, agentNs []int64) ([]PopulationMeasurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	const T, horizon = 0.25, 10.0
-
 	var ms []PopulationMeasurement
 	ws := flow.NewWorkspace()
 	for _, n := range countNs {
-		runCount := func() error {
-			sim, err := meanfield.New(inst, meanfield.Config{
-				N: n, Policy: pol, UpdatePeriod: T, Horizon: horizon,
-				Seed: 7, Workspace: ws,
-			})
-			if err != nil {
-				return err
-			}
-			_, err = sim.RunContext(context.Background())
-			return err
-		}
+		runCount := countRun(inst, pol, ws, n)
 		if err := runCount(); err != nil {
 			return nil, err
 		}
@@ -98,7 +107,7 @@ func MeanfieldSuite(countNs, agentNs []int64) ([]PopulationMeasurement, error) {
 	for _, n := range agentNs {
 		runAgents := func() error {
 			sim, err := agents.New(inst, agents.Config{
-				N: int(n), Policy: pol, UpdatePeriod: T, Horizon: horizon,
+				N: int(n), Policy: pol, UpdatePeriod: meanfieldT, Horizon: meanfieldHorizon,
 				Seed: 7, Workers: 1, Workspace: ws,
 			})
 			if err != nil {

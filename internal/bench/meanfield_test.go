@@ -3,7 +3,9 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"wardrop/internal/flow"
 	"wardrop/internal/meanfield"
@@ -28,19 +30,54 @@ func TestPhaseCostRatioPairing(t *testing.T) {
 
 // The tentpole acceptance number: the count engine's per-phase cost at a
 // million agents stays within 2x of its cost at a thousand — O(paths) with
-// only the Poisson-round tail growing (~log N), not O(agents).
+// only the Poisson-round tail growing (~log N), not O(agents). Each
+// population's cost is the minimum over interleaved repetitions of a block
+// of runs: a burst of load on the machine inflates only the repetitions it
+// overlaps, not the minimum, and load lasting the whole test slows both
+// populations alike.
 func TestCountPhaseCostNearFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive benchmark comparison")
 	}
-	ms, err := MeanfieldSuite([]int64{1_000, 1_000_000}, []int64{})
+	inst, err := topo.Braess()
 	if err != nil {
 		t.Fatal(err)
+	}
+	pol, err := policy.Replicator(inst.LMax())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := flow.NewWorkspace()
+	ms := []PopulationMeasurement{
+		{Engine: "count", N: 1_000, NsPerPhase: math.Inf(1)},
+		{Engine: "count", N: 1_000_000, NsPerPhase: math.Inf(1)},
+	}
+	runs := make([]func() error, len(ms))
+	for i, m := range ms {
+		runs[i] = countRun(inst, pol, ws, m.N)
+		if err := runs[i](); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const reps, block = 15, 20
+	for r := 0; r < reps; r++ {
+		for k := range ms {
+			i := (k + r) % len(ms) // alternate which population goes first
+			start := time.Now()
+			for b := 0; b < block; b++ {
+				if err := runs[i](); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ns := float64(time.Since(start).Nanoseconds()) / (block * meanfieldPhases)
+			ms[i].NsPerPhase = math.Min(ms[i].NsPerPhase, ns)
+		}
 	}
 	r, err := PhaseCostRatio(ms, "count", 1_000_000, 1_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("count engine phase cost ratio 1e6/1e3 = %.2f (%.0f / %.0f ns)", r, ms[1].NsPerPhase, ms[0].NsPerPhase)
 	if r > 2 {
 		t.Errorf("count engine phase cost ratio 1e6/1e3 = %.2f, want <= 2", r)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wardrop/internal/flow"
+	"wardrop/internal/graph"
 	"wardrop/internal/solver"
 	"wardrop/internal/topo"
 )
@@ -22,9 +23,12 @@ type ScalingMeasurement struct {
 	// Family and Edges identify the workload; ActualEdges and Paths are the
 	// realised instance shape (the generator hits Edges exactly for
 	// sparse-random, but the path count depends on what Yen enumerates).
+	// LiveEdges counts the edges on at least one path: the edges a kernel
+	// pass visits.
 	Family      string `json:"family"`
 	Edges       int    `json:"edges"`
 	ActualEdges int    `json:"actualEdges"`
+	LiveEdges   int    `json:"liveEdges"`
 	Paths       int    `json:"paths"`
 	// BuildNs is the wall time of one instance build: generating the graph
 	// and searching every commodity's k shortest paths (concurrently, on
@@ -79,6 +83,17 @@ func ScalingSuite(sizes []int) ([]ScalingMeasurement, error) {
 	return out, nil
 }
 
+// liveEdges counts the edges of inst that lie on at least one path.
+func liveEdges(inst *flow.Instance) int {
+	live := map[graph.EdgeID]bool{}
+	for g := 0; g < inst.NumPaths(); g++ {
+		for _, e := range inst.Path(g).Edges {
+			live[e] = true
+		}
+	}
+	return len(live)
+}
+
 func scalingPoint(edges int) (ScalingMeasurement, error) {
 	const (
 		commodities = 8
@@ -97,6 +112,7 @@ func scalingPoint(edges int) (ScalingMeasurement, error) {
 		Family:      "sparse-random",
 		Edges:       edges,
 		ActualEdges: nE,
+		LiveEdges:   liveEdges(inst),
 		Paths:       nP,
 		BuildNs:     buildNs,
 		Workers:     scalingWorkers(),

@@ -25,6 +25,9 @@ func TestScalingSuiteSmoke(t *testing.T) {
 	if m.Paths <= 0 {
 		t.Errorf("paths = %d, want > 0", m.Paths)
 	}
+	if m.LiveEdges <= 0 || m.LiveEdges > m.ActualEdges {
+		t.Errorf("live edges = %d, want in (0, %d]", m.LiveEdges, m.ActualEdges)
+	}
 	if m.BuildNs <= 0 || m.ReferenceNs <= 0 || m.SerialNs <= 0 || m.ParallelNs <= 0 {
 		t.Errorf("non-positive timing: %+v", m)
 	}

@@ -230,18 +230,42 @@ func (rm *rateMatrix) fillRows(pol policy.Policy, i, n int, flows, lats []float6
 }
 
 // derivative writes ḟ into df given the current flow f (both global
-// vectors).
+// vectors). It sweeps four target rows at once, so each f_q it loads feeds
+// four independent accumulators. Every row still sums in its own fixed
+// sequence — −f_p·rowSum_p first, then q ascending — and each step keeps
+// the expression shape a += f_q·r, so the compiler makes the same
+// fusion choice as for a row-at-a-time loop and the bits are that loop's
+// (pinned against it in rates_test.go).
 func (rm *rateMatrix) derivative(f flow.Vector, df []float64) {
 	for i := 0; i < rm.inst.NumCommodities(); i++ {
 		lo, hi := rm.inst.CommodityRange(i)
 		n := hi - lo
 		ratesT := rm.ratesT[i]
 		sums := rm.rowSums[i]
-		for p := 0; p < n; p++ {
-			row := ratesT[p*n : (p+1)*n]
-			acc := -f[lo+p] * sums[p]
-			for q, r := range row {
-				acc += f[lo+q] * r
+		fi := f[lo:hi]
+		p := 0
+		for ; p+4 <= n; p += 4 {
+			r0 := ratesT[p*n : (p+1)*n][:len(fi)]
+			r1 := ratesT[(p+1)*n : (p+2)*n][:len(fi)]
+			r2 := ratesT[(p+2)*n : (p+3)*n][:len(fi)]
+			r3 := ratesT[(p+3)*n : (p+4)*n][:len(fi)]
+			a0 := -fi[p] * sums[p]
+			a1 := -fi[p+1] * sums[p+1]
+			a2 := -fi[p+2] * sums[p+2]
+			a3 := -fi[p+3] * sums[p+3]
+			for q, x := range fi {
+				a0 += x * r0[q]
+				a1 += x * r1[q]
+				a2 += x * r2[q]
+				a3 += x * r3[q]
+			}
+			df[lo+p], df[lo+p+1], df[lo+p+2], df[lo+p+3] = a0, a1, a2, a3
+		}
+		for ; p < n; p++ {
+			row := ratesT[p*n : (p+1)*n][:len(fi)]
+			acc := -fi[p] * sums[p]
+			for q, x := range fi {
+				acc += x * row[q]
 			}
 			df[lo+p] = acc
 		}

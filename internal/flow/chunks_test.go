@@ -1,6 +1,12 @@
 package flow
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"wardrop/internal/graph"
+	"wardrop/internal/latency"
+)
 
 // balanceChunks must always produce a valid partition: parts+1
 // nondecreasing boundaries from 0 to the row count, regardless of weight
@@ -35,5 +41,42 @@ func TestBalanceChunksPartitions(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The kernel's live list is exactly the edges some path uses, ascending,
+// and the parallel crossover counts live work: a two-edge path beside
+// 2¹⁵ dead edges stays serial whatever the worker count, unless forced.
+func TestLiveEdgeListAndCrossover(t *testing.T) {
+	g := graph.New()
+	s, a, d := g.MustAddNode("s"), g.MustAddNode("a"), g.MustAddNode("t")
+	lats := []latency.Function{}
+	add := func(from, to graph.NodeID) {
+		g.MustAddEdge(from, to)
+		lats = append(lats, latency.Linear{Slope: 1})
+	}
+	for i := 0; i < 1<<14; i++ {
+		add(d, s)
+	}
+	add(s, a)
+	for i := 0; i < 1<<14; i++ {
+		add(a, s)
+	}
+	add(a, d)
+	inst, err := NewInstance(g, lats, []Commodity{{Source: s, Sink: d, Demand: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(inst, nil)
+	if want := []int32{1 << 14, 1<<15 + 1}; !slices.Equal(ev.inc.live, want) {
+		t.Fatalf("live edges %v, want %v", ev.inc.live, want)
+	}
+	ev.par = 8
+	if ev.parallelEval() {
+		t.Fatal("a pass over 2 live edges took the parallel path")
+	}
+	ev.SetParallelism(8)
+	if !ev.parallelEval() {
+		t.Fatal("forced parallelism did not take the parallel path")
 	}
 }

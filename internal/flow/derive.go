@@ -13,7 +13,8 @@ import (
 // the current demands). The invariants ℓmax and β are recomputed for the new
 // functions; the path enumeration, the CSR incidence and the graph are shared
 // with the receiver, so deriving is cheap even on large instances — only the
-// batch latency program is recompiled.
+// latency half of the kernel (the live-edge program and the ℓ_e(0) vector)
+// is compiled again, from the new functions, on first use.
 //
 // This is the primitive behind time-varying scenarios: each timeline segment
 // is a stationary instance derived from the base one.
@@ -58,11 +59,7 @@ func (in *Instance) Derive(lats []latency.Function, demandScale []float64) (*Ins
 		d.maxSlope = math.Max(d.maxSlope, f.SlopeBound())
 	}
 	// The incidence depends only on the shared path sets, so the parent's
-	// compiled form is reused; only the latency program differs. Seeding both
-	// eagerly (and burning the once) keeps the lazy-kernel contract intact.
-	inc, _ := in.kernel()
-	d.kernInc = inc
-	d.kernProg = latency.Compile(d.latencies)
-	d.kernOnce.Do(func() {})
+	// compiled form is reused; d's kernel compiles only its latency half.
+	d.kernInc, _ = in.kernel()
 	return d, nil
 }

@@ -66,12 +66,14 @@ type Instance struct {
 	lmax     float64
 	maxSlope float64
 
-	// Compiled evaluation kernel (kernel.go), built on first use; the once
-	// keeps lazy compilation safe under the instance's concurrent-reads
-	// contract.
+	// Compiled evaluation kernel (kernel.go) and the all-edge latency
+	// program, each built on first use; the onces keep lazy compilation
+	// safe under the instance's concurrent-reads contract.
 	kernOnce sync.Once
 	kernInc  *incidence
-	kernProg *latency.Program
+	kernLat  *liveLatency
+	progOnce sync.Once
+	prog     *latency.Program
 }
 
 // Option configures instance construction.

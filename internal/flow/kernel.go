@@ -23,6 +23,13 @@ import (
 // the full pass — so a delta-updated Evaluator never drifts from a freshly
 // evaluated one. The reference methods stay as the differential-testing
 // oracle.
+//
+// Flow exists only on the edges of the strategy paths, so every per-phase
+// pass runs over the live edges — those on at least one path — and costs
+// the incidence, not the network: on a 10⁵-edge graph routed over a few
+// dozen paths, a few hundred edges. A dead edge's flow is 0 and its latency
+// ℓ_e(0) for good; the evaluator writes both once, when it is built, so
+// EdgeFlows and EdgeLatencies stay full-length and equal to the reference.
 
 // incidence is the CSR form of the instance's path sets: a forward
 // path→edges layout plus the reverse edge→paths index incremental updates
@@ -42,23 +49,72 @@ type incidence struct {
 	// incremental-vs-full crossover gate costs O(changed paths), not a walk
 	// of their edge lists.
 	pathWork []int32
+	// live lists, ascending, the edges on at least one path
+	// (edgeStart[e+1] > edgeStart[e]): the only edges a pass visits.
+	live []int32
 }
 
-// kernel returns the instance's compiled incidence and batch latency
-// program, building both on first use (guarded by the instance's once).
-func (in *Instance) kernel() (*incidence, *latency.Program) {
+// dead reports whether no path uses edge e.
+func (inc *incidence) dead(e int32) bool { return inc.edgeStart[e+1] == inc.edgeStart[e] }
+
+// liveLatency is the latency half of the compiled kernel. It depends on the
+// latency functions, so a derived instance, which shares its parent's
+// incidence, compiles its own.
+type liveLatency struct {
+	// prog is the batch program over the live edges only.
+	prog *latency.Program
+	// zeroLat[e] = ℓ_e(0) for every edge: the latency a dead edge keeps.
+	zeroLat []float64
+	// phiEdges lists, ascending, the edges whose terms Potential adds: the
+	// live edges, plus any dead edge whose ∫₀⁰ℓ_e is not ±0 (usually none,
+	// and then it is the live list itself). Dropping the ±0 terms is exact:
+	// the sum starts at +0, under round-to-nearest it can never become −0,
+	// and x + (±0) = x for every other x.
+	phiEdges []int32
+}
+
+func compileLiveLatency(inc *incidence, lats []latency.Function) *liveLatency {
+	ll := &liveLatency{
+		prog:     latency.CompileEdges(lats, inc.live),
+		zeroLat:  make([]float64, len(lats)),
+		phiEdges: inc.live,
+	}
+	deadTerms := false
+	for e, f := range lats {
+		ll.zeroLat[e] = f.Value(0)
+		deadTerms = deadTerms || inc.dead(int32(e)) && f.Integral(0) != 0
+	}
+	if deadTerms {
+		ll.phiEdges = nil
+		for e, f := range lats {
+			if !inc.dead(int32(e)) || f.Integral(0) != 0 {
+				ll.phiEdges = append(ll.phiEdges, int32(e))
+			}
+		}
+	}
+	return ll
+}
+
+// kernel returns the instance's compiled incidence and live-edge latency
+// program, building them on first use (guarded by the instance's once). A
+// derived instance starts with its parent's incidence and compiles only the
+// latency half.
+func (in *Instance) kernel() (*incidence, *liveLatency) {
 	in.kernOnce.Do(func() {
-		in.kernInc = in.compileIncidence()
-		in.kernProg = latency.Compile(in.latencies)
+		if in.kernInc == nil {
+			in.kernInc = in.compileIncidence()
+		}
+		in.kernLat = compileLiveLatency(in.kernInc, in.latencies)
 	})
-	return in.kernInc, in.kernProg
+	return in.kernInc, in.kernLat
 }
 
-// Program returns the instance's compiled batch latency program (shared,
-// immutable, built on first use).
+// Program returns the batch latency program over every edge (shared,
+// immutable, built on first call). The evaluator's passes do not use it:
+// they run a program over the live edges only.
 func (in *Instance) Program() *latency.Program {
-	_, prog := in.kernel()
-	return prog
+	in.progOnce.Do(func() { in.prog = latency.Compile(in.latencies) })
+	return in.prog
 }
 
 func (in *Instance) compileIncidence() *incidence {
@@ -116,6 +172,11 @@ func (in *Instance) compileIncidence() *incidence {
 			w += deg[e]
 		}
 		inc.pathWork[g] = w
+	}
+	for e, d := range deg {
+		if d > 0 {
+			inc.live = append(inc.live, int32(e))
+		}
 	}
 	return inc
 }
@@ -176,7 +237,7 @@ func (w *Workspace) Floats(n int) []float64 {
 type Evaluator struct {
 	inst *Instance
 	inc  *incidence
-	prog *latency.Program
+	lat  *liveLatency
 
 	edgeFlow []float64
 	edgeLat  []float64
@@ -199,10 +260,10 @@ type Evaluator struct {
 	// Parallel full-pass state. par is the worker count (1 disables);
 	// forcePar bypasses the size crossover so tests can exercise the
 	// parallel kernel on toy instances. The chunk plans are CSR-weight-
-	// balanced boundaries in edge and path space, computed once per worker
-	// count and reused by every pass, so parallel phases allocate nothing
-	// beyond the goroutine fan-out itself (the same trade the dynamics
-	// parfill makes).
+	// balanced boundaries in live-edge and path space (edgeChunks indexes
+	// inc.live), computed once per worker count and reused by every pass,
+	// so parallel phases allocate nothing beyond the goroutine fan-out
+	// itself (the same trade the dynamics parfill makes).
 	par        int
 	forcePar   bool
 	edgeChunks []int32
@@ -211,9 +272,10 @@ type Evaluator struct {
 
 const (
 	// evalParMinWork is the serial/parallel crossover for full passes:
-	// below this total work (incidence entries + edges) the goroutine
+	// below this total work (incidence entries + live edges) the goroutine
 	// fan-out costs more than it saves — toy catalog instances (the 6×6
-	// grid is a few hundred entries) stay on the serial path.
+	// grid is a few hundred entries) and large graphs routed over a few
+	// dozen paths stay on the serial path.
 	evalParMinWork = 1 << 14
 	// maxEvalWorkers caps the fan-out; beyond ~8 workers the passes are
 	// memory-bound (matches the dynamics parfill cap).
@@ -229,23 +291,32 @@ func defaultEvalWorkers() int {
 }
 
 // NewEvaluator builds an evaluator for the instance, carving its buffers
-// from ws (nil allocates privately).
+// from ws (nil allocates privately). The dead edges' entries are written
+// here, once, over whatever the workspace slabs held: flow 0, latency
+// ℓ_e(0) and, for the dead edges Potential sums, ∫₀⁰ℓ_e.
 func NewEvaluator(inst *Instance, ws *Workspace) *Evaluator {
-	inc, prog := inst.kernel()
+	inc, lat := inst.kernel()
 	nE := inst.g.NumEdges()
 	nP := inst.totalPaths
 	ev := &Evaluator{
 		inst:     inst,
 		inc:      inc,
-		prog:     prog,
+		lat:      lat,
 		edgeFlow: ws.Floats(nE),
 		edgeLat:  ws.Floats(nE),
 		edgeInt:  ws.Floats(nE),
 		pathLat:  ws.Floats(nP),
 		edgeMark: make([]int32, nE),
 		pathMark: make([]int32, nP),
-		touched:  make([]int32, 0, nE),
+		touched:  make([]int32, 0, len(inc.live)),
 		par:      defaultEvalWorkers(),
+	}
+	clear(ev.edgeFlow)
+	copy(ev.edgeLat, lat.zeroLat)
+	for _, e := range lat.phiEdges {
+		if inc.dead(e) {
+			ev.edgeInt[e] = inst.latencies[e].Integral(0)
+		}
 	}
 	return ev
 }
@@ -278,18 +349,32 @@ func (ev *Evaluator) parallelEval() bool {
 	if ev.par <= 1 {
 		return false
 	}
-	return ev.forcePar || len(ev.inc.pathEdges)+len(ev.edgeFlow) >= evalParMinWork
+	return ev.forcePar || len(ev.inc.pathEdges)+len(ev.inc.live) >= evalParMinWork
 }
 
 // ensureChunks builds (or rebuilds after SetParallelism) the cached chunk
-// plans: par+1 boundaries in edge space balanced by reverse-index degree,
-// and in path space balanced by path length.
+// plans: par+1 boundaries in the live-edge list balanced by reverse-index
+// degree, and in path space balanced by path length.
 func (ev *Evaluator) ensureChunks() {
 	if len(ev.edgeChunks) == ev.par+1 {
 		return
 	}
-	ev.edgeChunks = balanceChunks(ev.inc.edgeStart, ev.par)
+	// A dead edge has no paths, so edgeStart at a live edge is the
+	// reverse-index weight of the live edges before it.
+	live := ev.inc.live
+	starts := make([]int32, len(live)+1)
+	for k, e := range live {
+		starts[k] = ev.inc.edgeStart[e]
+	}
+	starts[len(live)] = int32(len(ev.inc.edgePaths))
+	ev.edgeChunks = balanceChunks(starts, ev.par)
 	ev.pathChunks = balanceChunks(ev.inc.pathStart, ev.par)
+}
+
+// edgeRange returns the edge-ID range [first, last+1) a nonempty ascending
+// run of live edges spans; the live program holds no other edge in it.
+func edgeRange(live []int32) (int32, int32) {
+	return live[0], live[len(live)-1] + 1
 }
 
 // balanceChunks splits the rows of a CSR starts array (len(starts)-1 rows,
@@ -334,7 +419,7 @@ func (ev *Evaluator) evalSerial(f Vector) {
 	pathEdges := ev.inc.pathEdges
 	pathStart := ev.inc.pathStart
 	edgeFlow := ev.edgeFlow
-	for e := range edgeFlow {
+	for _, e := range ev.inc.live {
 		edgeFlow[e] = 0
 	}
 	// Ascending global path order with zero-flow paths skipped — the
@@ -348,7 +433,7 @@ func (ev *Evaluator) evalSerial(f Vector) {
 			edgeFlow[e] += fp
 		}
 	}
-	ev.prog.Values(edgeFlow, ev.edgeLat)
+	ev.lat.prog.Values(edgeFlow, ev.edgeLat)
 	edgeLat := ev.edgeLat
 	pathLat := ev.pathLat
 	for g := range pathLat {
@@ -361,10 +446,11 @@ func (ev *Evaluator) evalSerial(f Vector) {
 }
 
 // evalParallel is the chunked full pass. Phase 1 fans out over disjoint
-// edge ranges: each worker computes its edges' flows by a gather over the
-// reverse index and batch-evaluates their latencies via ValuesRange. Phase
-// 2 (after a barrier — path sums read edge latencies across chunk
-// boundaries) fans out over disjoint path ranges summing path latencies.
+// runs of live edges: each worker computes its edges' flows by a gather
+// over the reverse index and batch-evaluates their latencies via
+// ValuesRange. Phase 2 (after a barrier — path sums read edge latencies
+// across chunk boundaries) fans out over disjoint path ranges summing path
+// latencies.
 //
 // Bit-identity with evalSerial: the gather iterates edge e's path list in
 // ascending global order skipping zero flows — exactly the per-edge
@@ -379,15 +465,15 @@ func (ev *Evaluator) evalParallel(f Vector) {
 	inc := ev.inc
 	var wg sync.WaitGroup
 	for c := 0; c < ev.par; c++ {
-		e0, e1 := ev.edgeChunks[c], ev.edgeChunks[c+1]
-		if e0 == e1 {
+		k0, k1 := ev.edgeChunks[c], ev.edgeChunks[c+1]
+		if k0 == k1 {
 			continue
 		}
 		wg.Add(1)
-		go func(e0, e1 int32) {
+		go func(live []int32) {
 			defer wg.Done()
 			edgeFlow := ev.edgeFlow
-			for e := e0; e < e1; e++ {
+			for _, e := range live {
 				sum := 0.0
 				for _, g := range inc.edgePaths[inc.edgeStart[e]:inc.edgeStart[e+1]] {
 					if fp := f[g]; fp != 0 {
@@ -396,8 +482,9 @@ func (ev *Evaluator) evalParallel(f Vector) {
 				}
 				edgeFlow[e] = sum
 			}
-			ev.prog.ValuesRange(edgeFlow, ev.edgeLat, e0, e1)
-		}(e0, e1)
+			e0, e1 := edgeRange(live)
+			ev.lat.prog.ValuesRange(edgeFlow, ev.edgeLat, e0, e1)
+		}(inc.live[k0:k1])
 	}
 	wg.Wait()
 	for c := 0; c < ev.par; c++ {
@@ -436,8 +523,9 @@ func (ev *Evaluator) ApplyDelta(f Vector, p, q int, amount float64) {
 // entry of f is unchanged since the evaluator last saw it, and a prior
 // Eval. Refresh gates itself by estimated cost: when the rescan the change
 // implies (precomputed per-path as pathWork) approaches the cost of a full
-// pass, it falls back to Eval — which batches latency evaluation and
-// parallelizes on large instances, and produces identical bits — so a move
+// pass, it falls back to Eval — which batches latency evaluation, visits
+// only the live edges and parallelizes above the crossover, and produces
+// identical bits — so a move
 // through a bottleneck edge shared by most paths never does more work than
 // a full evaluation.
 func (ev *Evaluator) Refresh(f Vector, changed ...int) {
@@ -559,35 +647,46 @@ func (ev *Evaluator) EdgeLatencies() []float64 { return ev.edgeLat }
 // PathLatencies returns the current per-path latencies (a live view).
 func (ev *Evaluator) PathLatencies() []float64 { return ev.pathLat }
 
-// Potential returns Φ(f) for the last evaluated flow: the per-edge
+// Potential returns Φ(f) for the last evaluated flow: the live edges'
 // integral terms (materialized lazily on first use, then kept current by
-// Refresh) summed in edge order — the reference PotentialFromEdges
-// summation sequence.
+// Refresh) summed in ascending edge order with any dead edge's nonzero
+// constant term in its place — the reference PotentialFromEdges summation
+// sequence less its ±0 terms, which cannot change the sum (see phiEdges).
 func (ev *Evaluator) Potential() float64 {
 	if !ev.potValid {
 		if ev.parallelEval() {
 			ev.ensureChunks()
 			var wg sync.WaitGroup
 			for c := 0; c < ev.par; c++ {
-				e0, e1 := ev.edgeChunks[c], ev.edgeChunks[c+1]
-				if e0 == e1 {
+				k0, k1 := ev.edgeChunks[c], ev.edgeChunks[c+1]
+				if k0 == k1 {
 					continue
 				}
 				wg.Add(1)
-				go func(e0, e1 int32) {
+				go func(live []int32) {
 					defer wg.Done()
-					ev.prog.IntegralsRange(ev.edgeFlow, ev.edgeInt, e0, e1)
-				}(e0, e1)
+					e0, e1 := edgeRange(live)
+					ev.lat.prog.IntegralsRange(ev.edgeFlow, ev.edgeInt, e0, e1)
+				}(ev.inc.live[k0:k1])
 			}
 			wg.Wait()
 		} else {
-			ev.prog.Integrals(ev.edgeFlow, ev.edgeInt)
+			ev.lat.prog.Integrals(ev.edgeFlow, ev.edgeInt)
 		}
 		ev.potValid = true
 	}
 	phi := 0.0
-	for _, v := range ev.edgeInt {
-		phi += v
+	if len(ev.lat.phiEdges) == len(ev.edgeInt) {
+		// Every edge has a term: the same sequence without the index
+		// gather, which costs the sparse-move delta/links benchmark
+		// (a two-edge refresh, then this sum) about 60%.
+		for _, v := range ev.edgeInt {
+			phi += v
+		}
+		return phi
+	}
+	for _, e := range ev.lat.phiEdges {
+		phi += ev.edgeInt[e]
 	}
 	return phi
 }

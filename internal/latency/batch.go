@@ -3,7 +3,8 @@ package latency
 import "sort"
 
 // Program is a compiled batch evaluator over a fixed slice of latency
-// functions, indexed by edge. Compile groups the edges by concrete function
+// functions, indexed by edge — all of them (Compile) or a listed subset
+// (CompileEdges). The compile groups the edges by concrete function
 // kind (constant, linear, polynomial, monomial, BPR, M/M/1, piecewise
 // linear) so the hot loops of the simulation engines evaluate whole edge
 // groups with concrete — statically dispatched, inlinable — method calls
@@ -15,7 +16,7 @@ import "sort"
 // every edge, exactly the float64 the edge's own Value/Integral method
 // produces — the batch loops invoke the same method bodies on concrete
 // receivers — so replacing a per-edge interface loop with a Program changes
-// no bits. Programs are immutable after Compile and safe for concurrent use.
+// no bits. Programs are immutable once compiled and safe for concurrent use.
 type Program struct {
 	n int
 
@@ -44,11 +45,25 @@ type Program struct {
 	gens   []Function
 }
 
-// Compile groups fns by concrete kind and returns the batch program.
+// Compile groups every edge's function by concrete kind and returns the
+// batch program over all of fns.
 func Compile(fns []Function) *Program {
+	all := make([]int32, len(fns))
+	for e := range all {
+		all[e] = int32(e)
+	}
+	return CompileEdges(fns, all)
+}
+
+// CompileEdges is Compile restricted to the listed edges, which must be
+// ascending: the program's calls read and write only those entries of
+// their length-len(fns) slices. The flow kernel compiles the edges that lie
+// on some strategy path this way, so its passes cost those edges, not the
+// whole network.
+func CompileEdges(fns []Function, edges []int32) *Program {
 	p := &Program{n: len(fns)}
-	for e, f := range fns {
-		i := int32(e)
+	for _, i := range edges {
+		f := fns[i]
 		switch g := f.(type) {
 		case Constant:
 			p.constIdx = append(p.constIdx, i)
@@ -79,11 +94,13 @@ func Compile(fns []Function) *Program {
 	return p
 }
 
-// NumEdges returns the number of functions the program was compiled from.
+// NumEdges returns the number of functions the program was compiled from:
+// the length its flow and output slices must have.
 func (p *Program) NumEdges() int { return p.n }
 
-// GroupSizes reports how many edges landed in each specialized group,
-// keyed by kind name; "generic" counts the interface-dispatch fallback.
+// GroupSizes reports how many compiled edges landed in each specialized
+// group, keyed by kind name; "generic" counts the interface-dispatch
+// fallback.
 // Diagnostic: lets tests and docs verify a workload actually compiles to
 // batch loops.
 func (p *Program) GroupSizes() map[string]int {
@@ -104,8 +121,9 @@ func (p *Program) GroupSizes() map[string]int {
 	return m
 }
 
-// Values writes out[e] = ℓ_e(flows[e]) for every edge. flows and out must
-// have length NumEdges; they may alias distinct slices but not each other.
+// Values writes out[e] = ℓ_e(flows[e]) for every compiled edge. flows and
+// out must have length NumEdges; they may alias distinct slices but not each
+// other.
 func (p *Program) Values(flows, out []float64) {
 	for k, e := range p.constIdx {
 		out[e] = p.consts[k].Value(flows[e])
@@ -133,12 +151,13 @@ func (p *Program) Values(flows, out []float64) {
 	}
 }
 
-// ValuesRange writes out[e] = ℓ_e(flows[e]) for every edge e in [e0, e1).
-// Edges outside the range are untouched, so disjoint ranges may be
+// ValuesRange writes out[e] = ℓ_e(flows[e]) for every compiled edge e in
+// [e0, e1). Edges outside the range are untouched, so disjoint ranges may be
 // evaluated concurrently into the same output slice: each group's index
-// array is ascending (Compile appends in edge order), every edge belongs to
-// exactly one group, and each out[e] is written by the same concrete method
-// call Values would use — a range decomposition of Values changes no bits.
+// array is ascending (the compile appends in edge order), every compiled
+// edge belongs to exactly one group, and each out[e] is written by the same
+// concrete method call Values would use — a range decomposition of Values
+// changes no bits.
 func (p *Program) ValuesRange(flows, out []float64, e0, e1 int32) {
 	for k, n := groupRange(p.constIdx, e0, e1); k < n; k++ {
 		out[p.constIdx[k]] = p.consts[k].Value(flows[p.constIdx[k]])
@@ -202,9 +221,9 @@ func groupRange(idx []int32, e0, e1 int32) (int, int) {
 	return lo, hi
 }
 
-// Integrals writes out[e] = ∫₀^{flows[e]} ℓ_e(u) du for every edge — the
-// per-edge Beckmann–McGuire–Winsten potential terms. Same shape contract as
-// Values.
+// Integrals writes out[e] = ∫₀^{flows[e]} ℓ_e(u) du for every compiled
+// edge — the per-edge Beckmann–McGuire–Winsten potential terms. Same shape
+// contract as Values.
 func (p *Program) Integrals(flows, out []float64) {
 	for k, e := range p.constIdx {
 		out[e] = p.consts[k].Integral(flows[e])

@@ -144,3 +144,82 @@ func TestProgramRangeDecomposition(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileEdgesSubset pins the subset compile the flow kernel's
+// live-edge program uses: Values, Integrals and their range forms write
+// exactly the listed edges, with the bits the whole program writes there,
+// and leave every other entry alone.
+func TestCompileEdgesSubset(t *testing.T) {
+	bpr, err := NewBPR(1, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []Function{
+		Constant{C: 0.3},
+		Linear{Slope: 2, Offset: 0.1},
+		Monomial{Coef: 1.2, Degree: 4},
+		bpr,
+		Kink(3),
+		Scaled{F: Linear{Slope: 1}, Factor: 2},
+	}
+	fns := make([]Function, 29)
+	for i := range fns {
+		fns[i] = kinds[i%len(kinds)]
+	}
+	edges := []int32{0, 2, 3, 7, 8, 13, 21, 27, 28}
+	full, sub := Compile(fns), CompileEdges(fns, edges)
+	if sub.NumEdges() != len(fns) {
+		t.Fatalf("NumEdges = %d, want %d", sub.NumEdges(), len(fns))
+	}
+	total := 0
+	for _, n := range sub.GroupSizes() {
+		total += n
+	}
+	if total != len(edges) {
+		t.Fatalf("group sizes cover %d edges, want %d", total, len(edges))
+	}
+	flows := make([]float64, len(fns))
+	for e := range flows {
+		flows[e] = float64(e) / float64(len(fns))
+	}
+	wantV := make([]float64, len(fns))
+	wantI := make([]float64, len(fns))
+	full.Values(flows, wantV)
+	full.Integrals(flows, wantI)
+	listed := map[int32]bool{}
+	for _, e := range edges {
+		listed[e] = true
+	}
+	sentinel := math.Inf(-1)
+	fresh := func() []float64 {
+		s := make([]float64, len(fns))
+		for e := range s {
+			s[e] = sentinel
+		}
+		return s
+	}
+	check := func(what string, got, want []float64) {
+		t.Helper()
+		for e := range got {
+			w := sentinel
+			if listed[int32(e)] {
+				w = want[e]
+			}
+			if math.Float64bits(got[e]) != math.Float64bits(w) {
+				t.Fatalf("%s[%d] = %v, want %v", what, e, got[e], w)
+			}
+		}
+	}
+	gotV, gotI := fresh(), fresh()
+	sub.Values(flows, gotV)
+	sub.Integrals(flows, gotI)
+	check("Values", gotV, wantV)
+	check("Integrals", gotI, wantI)
+	gotV, gotI = fresh(), fresh()
+	for _, cut := range [][2]int32{{0, 3}, {3, 14}, {14, 29}} {
+		sub.ValuesRange(flows, gotV, cut[0], cut[1])
+		sub.IntegralsRange(flows, gotI, cut[0], cut[1])
+	}
+	check("ValuesRange", gotV, wantV)
+	check("IntegralsRange", gotI, wantI)
+}
