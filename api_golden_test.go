@@ -165,8 +165,8 @@ func TestGoldenRunMatchesSimulate(t *testing.T) {
 		}
 		legacy, err := wardrop.Simulate(inst, wardrop.SimConfig{
 			Policy: pol, UpdatePeriod: 0.1, Horizon: 5,
-			Integrator: wardrop.Uniformization, RecordEvery: 2,
-			Delta: 0.1, Eps: 0.05,
+			Integrator: wardrop.Uniformization,
+			RunShape:   wardrop.RunShape{RecordEvery: 2, Delta: 0.1, Eps: 0.05},
 		}, inst.UniformFlow())
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +239,7 @@ func TestGoldenRunMatchesSimulateFresh(t *testing.T) {
 func TestGoldenRunMatchesSimulateBestResponse(t *testing.T) {
 	for name, inst := range goldenTopologies(t) {
 		legacy, err := wardrop.SimulateBestResponse(inst, wardrop.BestResponseConfig{
-			UpdatePeriod: 0.25, Horizon: 3, RecordEvery: 1, Delta: 0.1, Eps: 0.05,
+			UpdatePeriod: 0.25, Horizon: 3, RunShape: wardrop.RunShape{RecordEvery: 1, Delta: 0.1, Eps: 0.05},
 		}, inst.UniformFlow())
 		if err != nil {
 			t.Fatal(err)
@@ -268,7 +268,7 @@ func TestGoldenRunMatchesAgentSim(t *testing.T) {
 		}
 		sim, err := wardrop.NewAgentSim(inst, wardrop.AgentConfig{
 			N: 300, Policy: pol, UpdatePeriod: 0.25, Horizon: 3,
-			Seed: 42, Workers: 2, RecordEvery: 3,
+			Seed: 42, Workers: 2, RunShape: wardrop.RunShape{RecordEvery: 3},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -413,9 +413,9 @@ func TestConfigValidationHardening(t *testing.T) {
 	f0 := inst.UniformFlow()
 
 	bads := []wardrop.SimConfig{
-		{Policy: pol, UpdatePeriod: 1, Horizon: 1, RecordEvery: -1},
-		{Policy: pol, UpdatePeriod: 1, Horizon: 1, Delta: 0.1, Eps: -0.5},
-		{Policy: pol, UpdatePeriod: 1, Horizon: 1, StopAfterSatisfiedStreak: -2},
+		{Policy: pol, UpdatePeriod: 1, Horizon: 1, RunShape: wardrop.RunShape{RecordEvery: -1}},
+		{Policy: pol, UpdatePeriod: 1, Horizon: 1, RunShape: wardrop.RunShape{Delta: 0.1, Eps: -0.5}},
+		{Policy: pol, UpdatePeriod: 1, Horizon: 1, RunShape: wardrop.RunShape{StopAfterSatisfiedStreak: -2}},
 	}
 	for _, cfg := range bads {
 		if _, err := wardrop.Simulate(inst, cfg, f0); err == nil {
@@ -426,9 +426,9 @@ func TestConfigValidationHardening(t *testing.T) {
 		}
 	}
 	brBads := []wardrop.BestResponseConfig{
-		{UpdatePeriod: 1, Horizon: 1, RecordEvery: -1},
-		{UpdatePeriod: 1, Horizon: 1, Delta: 0.1, Eps: -0.5},
-		{UpdatePeriod: 1, Horizon: 1, StopAfterSatisfiedStreak: -2},
+		{UpdatePeriod: 1, Horizon: 1, RunShape: wardrop.RunShape{RecordEvery: -1}},
+		{UpdatePeriod: 1, Horizon: 1, RunShape: wardrop.RunShape{Delta: 0.1, Eps: -0.5}},
+		{UpdatePeriod: 1, Horizon: 1, RunShape: wardrop.RunShape{StopAfterSatisfiedStreak: -2}},
 	}
 	for _, cfg := range brBads {
 		if _, err := wardrop.SimulateBestResponse(inst, cfg, f0); err == nil {
@@ -436,9 +436,9 @@ func TestConfigValidationHardening(t *testing.T) {
 		}
 	}
 	agBads := []wardrop.AgentConfig{
-		{N: 10, Policy: pol, UpdatePeriod: 1, Horizon: 1, RecordEvery: -1},
-		{N: 10, Policy: pol, UpdatePeriod: 1, Horizon: 1, Delta: 0.1, Eps: -0.5},
-		{N: 10, Policy: pol, UpdatePeriod: 1, Horizon: 1, StopAfterSatisfiedStreak: -2},
+		{N: 10, Policy: pol, UpdatePeriod: 1, Horizon: 1, RunShape: wardrop.RunShape{RecordEvery: -1}},
+		{N: 10, Policy: pol, UpdatePeriod: 1, Horizon: 1, RunShape: wardrop.RunShape{Delta: 0.1, Eps: -0.5}},
+		{N: 10, Policy: pol, UpdatePeriod: 1, Horizon: 1, RunShape: wardrop.RunShape{StopAfterSatisfiedStreak: -2}},
 	}
 	for _, cfg := range agBads {
 		if _, err := wardrop.NewAgentSim(inst, cfg); err == nil {

@@ -223,8 +223,8 @@ func parsePeriod(s string, safe float64) (float64, error) {
 		return safe, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("invalid period %q", s)
+	if err != nil || !(v > 0) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("invalid period %q: want a positive finite number or \"safe\"", s)
 	}
 	return v, nil
 }

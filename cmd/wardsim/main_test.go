@@ -40,6 +40,8 @@ func TestRunShapeFlagValidation(t *testing.T) {
 		{[]string{"-horizon", "-5"}, "-horizon"},
 		{[]string{"-horizon", "NaN"}, "-horizon"},
 		{[]string{"-horizon", "Inf"}, "-horizon"},
+		{[]string{"-T", "NaN"}, "period"},
+		{[]string{"-T", "Inf"}, "period"},
 		{[]string{"-every", "0"}, "-every"},
 		{[]string{"-every", "-2"}, "-every"},
 		{[]string{"-agents", "-1"}, "-agents"},

@@ -86,12 +86,14 @@ func TestPotentialDescentFromRandomStarts(t *testing.T) {
 		_, err := wardrop.Simulate(inst, wardrop.SimConfig{
 			Policy: pol, UpdatePeriod: T, Horizon: 40 * T,
 			Integrator: wardrop.Uniformization,
-			Hook: func(info wardrop.PhaseInfo) bool {
-				if info.Potential > prev+1e-9 {
-					monotone = false
-				}
-				prev = info.Potential
-				return false
+			RunShape: wardrop.RunShape{
+				Observer: wardrop.ObserverFunc(func(info wardrop.PhaseInfo) bool {
+					if info.Potential > prev+1e-9 {
+						monotone = false
+					}
+					prev = info.Potential
+					return false
+				}),
 			},
 		}, f0)
 		return err == nil && monotone

@@ -183,10 +183,12 @@ func TestHookAndTrajectory(t *testing.T) {
 	calls := 0
 	s, err := New(inst, Config{
 		N: 100, Policy: pol, UpdatePeriod: 0.5, Horizon: 100, Seed: 1,
-		RecordEvery: 1,
-		Hook: func(info dynamics.PhaseInfo) bool {
-			calls++
-			return info.Index >= 9
+		RunShape: dynamics.RunShape{
+			RecordEvery: 1,
+			Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
+				calls++
+				return info.Index >= 9
+			}),
 		},
 	})
 	if err != nil {
@@ -246,12 +248,14 @@ func TestConservationUnderConcurrency(t *testing.T) {
 	pol := mustReplicator(t, inst.LMax())
 	s, err := New(inst, Config{
 		N: 999, Policy: pol, UpdatePeriod: 0.1, Horizon: 20, Seed: 3, Workers: 8,
-		Hook: func(info dynamics.PhaseInfo) bool {
-			if err := inst.Feasible(info.Flow, 1e-9); err != nil {
-				t.Errorf("phase %d: %v", info.Index, err)
-				return true
-			}
-			return false
+		RunShape: dynamics.RunShape{
+			Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
+				if err := inst.Feasible(info.Flow, 1e-9); err != nil {
+					t.Errorf("phase %d: %v", info.Index, err)
+					return true
+				}
+				return false
+			}),
 		},
 	})
 	if err != nil {
@@ -318,9 +322,11 @@ func TestRunContextCancellationWithinGiantPhase(t *testing.T) {
 		// Enough agents that the shard passes several ctx checkpoints.
 		N: 4 * ctxCheckEvents, Policy: pol, UpdatePeriod: 10, Horizon: 10,
 		Seed: 5, Workers: 1,
-		Hook: func(dynamics.PhaseInfo) bool {
-			cancel() // fires at the phase-0 start, before the shards run
-			return false
+		RunShape: dynamics.RunShape{
+			Observer: dynamics.ObserverFunc(func(dynamics.PhaseInfo) bool {
+				cancel() // fires at the phase-0 start, before the shards run
+				return false
+			}),
 		},
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ package agents
 import (
 	"context"
 	"testing"
+	"wardrop/internal/dynamics"
 
 	"wardrop/internal/flow"
 	"wardrop/internal/policy"
@@ -33,7 +34,7 @@ func TestRunSteadyStateAllocationFree(t *testing.T) {
 			Horizon:      float64(phases) * 0.25,
 			Seed:         7,
 			Workers:      1,
-			Workspace:    ws,
+			RunShape:     dynamics.RunShape{Workspace: ws},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -67,9 +67,11 @@ func TestFiniteAgentsBestResponseOscillation(t *testing.T) {
 	s, err := New(inst, Config{
 		N: 4000, Policy: pol, UpdatePeriod: 1.0, Horizon: 30, Seed: 4, Workers: 2,
 		InitialFlow: flow.Vector{0.9, 0.1},
-		Hook: func(info dynamics.PhaseInfo) bool {
-			f1s = append(f1s, info.Flow[0])
-			return false
+		RunShape: dynamics.RunShape{
+			Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
+				f1s = append(f1s, info.Flow[0])
+				return false
+			}),
 		},
 	})
 	if err != nil {

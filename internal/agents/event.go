@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"wardrop/internal/board"
 	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
 	"wardrop/internal/policy"
@@ -21,8 +20,8 @@ import (
 // frozen, so the batched engine's per-agent Poisson counts are exactly the
 // thinned global process); this engine is the single-threaded reference for
 // the clock ablation and for workloads where activation-order detail
-// matters. It honours Config.Seed/Hook/Observer/RecordEvery and the (δ,ε)
-// accounting fields; Workers is ignored.
+// matters. It honours Config.Seed and the RunShape (observer, recording,
+// (δ,ε) accounting); Workers is ignored.
 //
 // Deprecated: use RunEventDrivenContext, which adds cancellation.
 func (s *Sim) RunEventDriven() (*dynamics.Result, error) {
@@ -39,10 +38,6 @@ const ctxCheckEvents = 1024
 // at every board refresh and every ctxCheckEvents activation events, and
 // when it is done the partial result is returned together with ctx.Err().
 func (s *Sim) RunEventDrivenContext(ctx context.Context) (*dynamics.Result, error) {
-	b, err := board.New(s.cfg.UpdatePeriod)
-	if err != nil {
-		return nil, err
-	}
 	rng := NewRNG(s.cfg.Seed ^ 0xd1b54a32d192ed03)
 
 	// Flatten the shards into one agent array with cumulative indexing.
@@ -56,76 +51,35 @@ func (s *Sim) RunEventDrivenContext(ctx context.Context) (*dynamics.Result, erro
 		counts[s.inst.GlobalIndex(int(a.commodity), int(a.path))]++
 	}
 
-	res := &dynamics.Result{}
-	nPaths := s.inst.NumPaths()
-	ws := s.cfg.Workspace
-	ws.Reset()
-	ev := flow.NewEvaluator(s.inst, ws)
-	curF := flow.Vector(ws.Floats(nPaths))
-	prevF := ws.Floats(nPaths)
-	changed := make([]int, 0, nPaths)
-	probTab := make([][]float64, s.inst.NumCommodities())
-	for i := range probTab {
-		n := s.inst.NumCommodityPaths(i)
-		probTab[i] = ws.Floats(n * n)
-	}
-	sharedSampler := policy.OriginInvariant(s.cfg.Policy.Sampler)
-
-	// refresh brings the evaluator in line with the current counts: between
-	// board refreshes only individually activated agents moved, so the
+	// The driver's phase-start and finish steps run at every board refresh
+	// of the event clock; Phases counts the refreshes after the first.
+	d := dynamics.NewDriver(s.inst, s.cfg.RunShape)
+	b := NewBoard(s.inst, d.Evaluator(), s.cfg.Workspace, s.cfg.Policy.Sampler)
+	// post brings the board in line with the current counts: between board
+	// refreshes only individually activated agents moved, so the
 	// incremental path touches a handful of edges (bit-identical to the
 	// full reference evaluation either way).
-	refresh := func() {
-		for g := range curF {
-			curF[g] = counts[g] * s.weights[s.inst.CommodityOf(g)]
+	post := func() flow.Vector {
+		for g := range b.Flow {
+			b.Flow[g] = counts[g] * s.weights[s.inst.CommodityOf(g)]
 		}
-		syncEvaluator(ev, curF, prevF, &changed)
+		return b.Post()
 	}
+	pl := d.Evaluator().PathLatencies()
 
-	post := func(t float64, phase int) (dynamics.PhaseInfo, board.Snapshot) {
-		refresh()
-		pl := ev.PathLatencies()
-		snap := board.Snapshot{
-			Time:          t,
-			EdgeLatencies: ev.EdgeLatencies(),
-			PathLatencies: pl,
-			PathFlows:     curF,
-		}
-		b.Post(snap)
-		s.fillProbTab(probTab, sharedSampler, snap)
-		return dynamics.PhaseInfo{Index: phase, Time: t, Flow: curF, PathLatencies: pl, Potential: ev.Potential()}, snap
-	}
-
-	// partial fills the result's terminal fields from the current empirical
-	// state; shared by completion and cancellation paths.
-	partial := func(elapsed float64) *dynamics.Result {
-		refresh()
-		res.Final = curF.Clone()
-		res.FinalPotential = ev.Potential()
-		res.Elapsed = elapsed
-		return res
-	}
-
-	account := newAcct(s.cfg)
 	t := 0.0
 	phase := 0
 	if err := ctx.Err(); err != nil {
-		return partial(0), err
+		return d.Finish(post(), 0, phase), err
 	}
-	info, snap := post(t, phase)
-	streakStop := account.Observe(s.inst, &info, res)
-	if s.cfg.RecordEvery > 0 {
-		res.Trajectory = append(res.Trajectory, dynamics.Sample{Time: t, Potential: info.Potential, Flow: append([]float64(nil), info.Flow...)})
-	}
-	if stop := s.observePhase(info); stop || streakStop {
-		res.Stopped = true
-	}
+	stopped := d.Start(phase, t, post())
+	b.FillTables(pl)
 	nextBoard := s.cfg.UpdatePeriod
 	mig := s.cfg.Policy.Migrator
-	for events := 0; !res.Stopped; events++ {
+	for events := 0; !stopped; events++ {
 		if events%ctxCheckEvents == 0 {
 			if err := ctx.Err(); err != nil {
-				return partial(math.Min(t, s.cfg.Horizon)), err
+				return d.Finish(post(), math.Min(t, s.cfg.Horizon), phase), err
 			}
 		}
 		// Exp(N) inter-activation gap.
@@ -142,25 +96,16 @@ func (s *Sim) RunEventDrivenContext(ctx context.Context) (*dynamics.Result, erro
 		// Board refreshes strictly between activations (measure-zero ties).
 		for nextBoard <= t {
 			if err := ctx.Err(); err != nil {
-				return partial(nextBoard), err
+				return d.Finish(post(), nextBoard, phase), err
 			}
 			phase++
-			res.Phases++
-			var hinfo dynamics.PhaseInfo
-			hinfo, snap = post(nextBoard, phase)
-			hStreakStop := account.Observe(s.inst, &hinfo, res)
-			if s.cfg.RecordEvery > 0 && phase%s.cfg.RecordEvery == 0 {
-				res.Trajectory = append(res.Trajectory, dynamics.Sample{
-					Time: nextBoard, Potential: hinfo.Potential, Flow: append([]float64(nil), hinfo.Flow...),
-				})
-			}
-			if stop := s.observePhase(hinfo); stop || hStreakStop {
-				res.Stopped = true
+			if stopped = d.Start(phase, nextBoard, post()); stopped {
 				break
 			}
+			b.FillTables(pl)
 			nextBoard += s.cfg.UpdatePeriod
 		}
-		if res.Stopped {
+		if stopped {
 			break
 		}
 		// Activate a uniformly random agent.
@@ -168,9 +113,9 @@ func (s *Sim) RunEventDrivenContext(ctx context.Context) (*dynamics.Result, erro
 		i := int(a.commodity)
 		lo, _ := s.inst.CommodityRange(i)
 		n := s.inst.NumCommodityPaths(i)
-		lats := snap.PathLatencies[lo : lo+n]
+		lats := pl[lo : lo+n]
 		origin := int(a.path)
-		row := probTab[i][origin*n : (origin+1)*n]
+		row := b.Tables[i][origin*n : (origin+1)*n]
 		q := policy.SampleIndex(row, rng.Float64())
 		if q == origin {
 			continue
@@ -182,5 +127,5 @@ func (s *Sim) RunEventDrivenContext(ctx context.Context) (*dynamics.Result, erro
 			a.path = int32(q)
 		}
 	}
-	return partial(math.Min(t, s.cfg.Horizon)), nil
+	return d.Finish(post(), math.Min(t, s.cfg.Horizon), phase), nil
 }

@@ -55,9 +55,11 @@ func TestEventDrivenHookAndPhases(t *testing.T) {
 	calls := 0
 	s, err := New(inst, Config{
 		N: 100, Policy: pol, UpdatePeriod: 0.5, Horizon: 100, Seed: 1,
-		Hook: func(info dynamics.PhaseInfo) bool {
-			calls++
-			return info.Index >= 6
+		RunShape: dynamics.RunShape{
+			Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
+				calls++
+				return info.Index >= 6
+			}),
 		},
 	})
 	if err != nil {
@@ -120,12 +122,14 @@ func TestEventDrivenBraessFeasibilityThroughout(t *testing.T) {
 	pol := mustReplicator(t, inst.LMax())
 	s, err := New(inst, Config{
 		N: 500, Policy: pol, UpdatePeriod: 0.2, Horizon: 15, Seed: 9,
-		Hook: func(info dynamics.PhaseInfo) bool {
-			if err := inst.Feasible(info.Flow, 1e-9); err != nil {
-				t.Errorf("phase %d: %v", info.Index, err)
-				return true
-			}
-			return false
+		RunShape: dynamics.RunShape{
+			Observer: dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
+				if err := inst.Feasible(info.Flow, 1e-9); err != nil {
+					t.Errorf("phase %d: %v", info.Index, err)
+					return true
+				}
+				return false
+			}),
 		},
 	})
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"wardrop/internal/board"
 	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
 	"wardrop/internal/policy"
@@ -47,36 +46,16 @@ type Config struct {
 	// Workers is the number of simulation goroutines (default: GOMAXPROCS,
 	// capped by N).
 	Workers int
-	// RecordEvery records a sample every k phases (0 disables).
-	RecordEvery int
-	// Hook observes phase starts (with the empirical flow); returning true
-	// stops the run.
-	//
-	// Deprecated: use Observer; when both are set, both run.
-	Hook dynamics.Hook
-	// Observer observes phase starts; compose several with
-	// dynamics.MultiObserver.
-	Observer dynamics.Observer
 	// InitialFlow, if non-nil, distributes each commodity's agents over its
 	// paths proportionally to this (feasible) flow vector instead of the
 	// default even spread. Rounding drift lands on the commodity's first
 	// path.
 	InitialFlow flow.Vector
 
-	// Delta and Eps enable the (δ,ε)-equilibrium round accounting on the
-	// empirical flow at each phase start, with the same semantics as the
-	// fluid dynamics (Theorems 6 and 7). Delta <= 0 disables accounting.
-	Delta float64
-	Eps   float64
-	// Weak selects the weak (δ,ε) metric (Definition 4).
-	Weak bool
-	// StopAfterSatisfiedStreak stops the run once this many consecutive
-	// phases started at the configured approximate equilibrium (0 disables).
-	StopAfterSatisfiedStreak int
-	// Workspace, if non-nil, supplies the run's evaluation scratch (board
-	// latencies, sampling tables, flow buffers; Reset at run entry); nil
-	// allocates privately. See flow.Workspace for the reuse contract.
-	Workspace *flow.Workspace
+	// RunShape carries the settings every engine shares. Observers and the
+	// (δ,ε) accounting see the empirical flow; the workspace supplies the
+	// board latencies, sampling tables and flow buffers.
+	dynamics.RunShape
 }
 
 // Sim is a configured simulation bound to an instance. Create with New, run
@@ -103,16 +82,10 @@ func New(inst *flow.Instance, cfg Config) (*Sim, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("%w: N=%d", ErrBadConfig, cfg.N)
 	}
-	if cfg.UpdatePeriod <= 0 {
-		return nil, fmt.Errorf("%w: update period %g", ErrBadConfig, cfg.UpdatePeriod)
-	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon %g", ErrBadConfig, cfg.Horizon)
-	}
 	if cfg.Policy.Sampler == nil || cfg.Policy.Migrator == nil {
 		return nil, fmt.Errorf("%w: policy requires sampler and migrator", ErrBadConfig)
 	}
-	if err := dynamics.ValidateRunShape(ErrBadConfig, cfg.RecordEvery, cfg.Delta, cfg.Eps, cfg.StopAfterSatisfiedStreak); err != nil {
+	if err := cfg.Validate(ErrBadConfig, cfg.UpdatePeriod, cfg.Horizon); err != nil {
 		return nil, err
 	}
 	if cfg.Workers <= 0 {
@@ -123,27 +96,8 @@ func New(inst *flow.Instance, cfg Config) (*Sim, error) {
 	}
 
 	s := &Sim{inst: inst, cfg: cfg}
-	total := inst.TotalDemand()
-	// Per-commodity agent counts proportional to demand, ≥ 1 each.
-	perComm := make([]int, inst.NumCommodities())
-	assigned := 0
-	for i := range perComm {
-		ni := int(math.Round(float64(cfg.N) * inst.Commodity(i).Demand / total))
-		if ni < 1 {
-			ni = 1
-		}
-		perComm[i] = ni
-		assigned += ni
-	}
-	// Adjust the largest commodity for rounding drift.
-	largest := 0
-	for i := range perComm {
-		if perComm[i] > perComm[largest] {
-			largest = i
-		}
-	}
-	perComm[largest] += cfg.N - assigned
-	if perComm[largest] < 1 {
+	perComm, ok := Populations(inst, int64(cfg.N))
+	if !ok {
 		return nil, fmt.Errorf("%w: N=%d too small for %d commodities", ErrBadConfig, cfg.N, inst.NumCommodities())
 	}
 
@@ -154,14 +108,15 @@ func New(inst *flow.Instance, cfg Config) (*Sim, error) {
 	}
 	s.weights = make([]float64, inst.NumCommodities())
 	var all []agentState
-	for i := range perComm {
-		s.weights[i] = inst.Commodity(i).Demand / float64(perComm[i])
+	for i, pop := range perComm {
+		ni := int(pop)
+		s.weights[i] = inst.Commodity(i).Demand / float64(ni)
 		np := inst.NumCommodityPaths(i)
 		if cfg.InitialFlow == nil {
 			// Spread each commodity's agents evenly over its paths (matching
 			// the fluid runs' uniform initial flow as closely as integrality
 			// allows).
-			for a := 0; a < perComm[i]; a++ {
+			for a := 0; a < ni; a++ {
 				all = append(all, agentState{commodity: int32(i), path: int32(a % np)})
 			}
 			continue
@@ -171,13 +126,13 @@ func New(inst *flow.Instance, cfg Config) (*Sim, error) {
 		demand := inst.Commodity(i).Demand
 		placed := 0
 		for p := 0; p < np; p++ {
-			n := int(math.Floor(cfg.InitialFlow[lo+p] / demand * float64(perComm[i])))
-			for a := 0; a < n && placed < perComm[i]; a++ {
+			n := int(math.Floor(cfg.InitialFlow[lo+p] / demand * float64(ni)))
+			for a := 0; a < n && placed < ni; a++ {
 				all = append(all, agentState{commodity: int32(i), path: int32(p)})
 				placed++
 			}
 		}
-		for ; placed < perComm[i]; placed++ {
+		for ; placed < ni; placed++ {
 			all = append(all, agentState{commodity: int32(i), path: 0})
 		}
 	}
@@ -223,16 +178,39 @@ func (s *Sim) empiricalInto(f flow.Vector) {
 	}
 }
 
-// Run simulates until the horizon (or a hook stop) and returns the result.
+// Populations splits n agents across the instance's commodities in
+// proportion to demand, at least one each, with the rounding drift on the
+// largest commodity. It reports false when n is too small to leave every
+// commodity an agent. The per-agent and count engines both split with it,
+// so they put the same weight behind each agent.
+func Populations(inst *flow.Instance, n int64) ([]int64, bool) {
+	total := inst.TotalDemand()
+	perComm := make([]int64, inst.NumCommodities())
+	var assigned int64
+	for i := range perComm {
+		ni := int64(math.Round(float64(n) * inst.Commodity(i).Demand / total))
+		if ni < 1 {
+			ni = 1
+		}
+		perComm[i] = ni
+		assigned += ni
+	}
+	largest := 0
+	for i := range perComm {
+		if perComm[i] > perComm[largest] {
+			largest = i
+		}
+	}
+	perComm[largest] += n - assigned
+	return perComm, perComm[largest] >= 1
+}
+
+// Run simulates until the horizon (or an observer stop) and returns the
+// result.
 //
 // Deprecated: use RunContext, which adds cancellation.
 func (s *Sim) Run() (*dynamics.Result, error) {
 	return s.RunContext(context.Background())
-}
-
-// newAcct builds the shared (δ,ε) round accounting from the config.
-func newAcct(cfg Config) dynamics.RoundAccounting {
-	return dynamics.NewRoundAccounting(cfg.Delta, cfg.Eps, cfg.Weak, cfg.StopAfterSatisfiedStreak)
 }
 
 // RunContext simulates until the horizon (or an observer stop) and returns
@@ -249,178 +227,153 @@ func newAcct(cfg Config) dynamics.RoundAccounting {
 // space). Both modes are bit-identical to the full reference evaluation,
 // so the board — and hence every sampled decision — is unchanged.
 func (s *Sim) RunContext(ctx context.Context) (*dynamics.Result, error) {
-	b, err := board.New(s.cfg.UpdatePeriod)
-	if err != nil {
-		return nil, fmt.Errorf("agents: %w", err)
+	d := dynamics.NewDriver(s.inst, s.cfg.RunShape)
+	r := &batch{
+		Sim:   s,
+		board: NewBoard(s.inst, d.Evaluator(), s.cfg.Workspace, s.cfg.Policy.Sampler),
+		rngs:  make([]*RNG, s.cfg.Workers),
 	}
-	res := &dynamics.Result{}
-	nPaths := s.inst.NumPaths()
-	ws := s.cfg.Workspace
-	ws.Reset()
-	ev := flow.NewEvaluator(s.inst, ws)
-	// Double-buffered empirical flow: curF is the phase-start state posted
-	// on the board (stable while shards run), prevF the previous phase's,
-	// so the refresh knows exactly which paths changed.
-	curF := flow.Vector(ws.Floats(nPaths))
-	prevF := ws.Floats(nPaths)
-	changed := make([]int, 0, nPaths)
-
-	// Per-phase sampler probability tables: probTab[i] is an n_i×n_i
-	// row-major table, row = origin. Computed once per phase (board frozen),
-	// shared read-only by all workers; the backing memory comes from the
-	// run's workspace.
-	probTab := make([][]float64, s.inst.NumCommodities())
-	for i := range probTab {
-		n := s.inst.NumCommodityPaths(i)
-		probTab[i] = ws.Floats(n * n)
+	for w := range r.rngs {
+		r.rngs[w] = NewRNG(s.cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(w+1)))
 	}
-	sharedSampler := policy.OriginInvariant(s.cfg.Policy.Sampler)
+	return dynamics.Loop(ctx, d, r, s.cfg.UpdatePeriod, s.cfg.Horizon)
+}
 
-	rngs := make([]*RNG, s.cfg.Workers)
-	for w := range rngs {
-		rngs[w] = NewRNG(s.cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(w+1)))
+// batch is one batched run: the sharded agents, the board and one RNG
+// stream per shard.
+type batch struct {
+	*Sim
+	board *Board
+	rngs  []*RNG
+}
+
+// Board posts the current empirical flow.
+func (r *batch) Board() flow.Vector {
+	r.empiricalInto(r.board.Flow)
+	return r.board.Post()
+}
+
+// Advance fills the sampling tables from the board and runs every shard
+// through the phase. Shards bail between agents once ctx is done, so even a
+// single giant phase (Horizon <= UpdatePeriod, large N) stays
+// interruptible; a phase that completed despite a late cancellation counts
+// normally, and the driver reports the cancellation at the next phase
+// boundary, matching the fluid engine.
+func (r *batch) Advance(ctx context.Context, tau float64, pl []float64) bool {
+	r.board.FillTables(pl)
+	tabs := r.board.Tables
+	if r.cfg.Workers == 1 {
+		// Single-worker runs (the sweep engine's per-task default) stay on
+		// this goroutine: no spawn, no barrier, no per-phase allocation —
+		// and the same RNG stream as the spawned form.
+		return r.runShard(ctx, 0, r.rngs[0], pl, tabs, tau)
 	}
-
-	// refresh brings the evaluator in line with the current agent counts.
-	refresh := func() {
-		s.empiricalInto(curF)
-		syncEvaluator(ev, curF, prevF, &changed)
-	}
-	// finish fills the result's terminal fields from the current empirical
-	// state; shared by normal completion and cancellation paths.
-	finish := func(t float64) *dynamics.Result {
-		refresh()
-		res.Final = curF.Clone()
-		res.FinalPotential = ev.Potential()
-		res.Elapsed = t
-		return res
-	}
-
-	account := newAcct(s.cfg)
-	t := 0.0
-	for phase := 0; t < s.cfg.Horizon-1e-12; phase++ {
-		if err := ctx.Err(); err != nil {
-			return finish(t), err
-		}
-		refresh()
-		pl := ev.PathLatencies()
-		phi := ev.Potential()
-		b.Post(board.Snapshot{
-			Time:          t,
-			EdgeLatencies: ev.EdgeLatencies(),
-			PathLatencies: pl,
-			PathFlows:     curF,
-		})
-
-		info := dynamics.PhaseInfo{Index: phase, Time: t, Flow: curF, PathLatencies: pl, Potential: phi}
-		streakStop := account.Observe(s.inst, &info, res)
-		if s.cfg.RecordEvery > 0 && phase%s.cfg.RecordEvery == 0 {
-			res.Trajectory = append(res.Trajectory, dynamics.Sample{Time: t, Potential: phi, Flow: curF.Clone()})
-		}
-		if stop := s.observePhase(info); stop || streakStop {
-			res.Stopped = true
-			break
-		}
-
-		// Fill per-commodity sampling tables from the board.
-		snap, _ := b.Read()
-		s.fillProbTab(probTab, sharedSampler, snap)
-
-		tau := math.Min(s.cfg.UpdatePeriod, s.cfg.Horizon-t)
-		phaseDone := true
-		if s.cfg.Workers == 1 {
-			// Single-worker runs (the sweep engine's per-task default) stay
-			// on this goroutine: no spawn, no barrier, no per-phase
-			// allocation — and the same RNG stream as the spawned form.
-			phaseDone = s.runShard(ctx, 0, rngs[0], snap, probTab, tau)
-		} else {
-			var (
-				wg      sync.WaitGroup
-				aborted atomic.Bool
-			)
-			for w := 0; w < s.cfg.Workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					if !s.runShard(ctx, w, rngs[w], snap, probTab, tau) {
-						aborted.Store(true)
-					}
-				}(w)
+	var (
+		wg      sync.WaitGroup
+		aborted atomic.Bool
+	)
+	for w := 0; w < r.cfg.Workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if !r.runShard(ctx, w, r.rngs[w], pl, tabs, tau) {
+				aborted.Store(true)
 			}
-			wg.Wait()
-			phaseDone = !aborted.Load()
-		}
-		// Shards bail between agents once ctx is done, so even a single
-		// giant phase (Horizon <= UpdatePeriod, large N) stays
-		// interruptible. Only a genuinely abandoned phase returns here —
-		// a phase that completed despite a late cancellation is counted
-		// normally and the loop-top check reports the cancellation at the
-		// next phase boundary, matching the fluid engine.
-		if !phaseDone {
-			return finish(t), ctx.Err()
-		}
-		t += tau
-		res.Phases++
+		}(w)
 	}
-	return finish(t), nil
+	wg.Wait()
+	return !aborted.Load()
 }
 
-// observePhase delivers a phase start to the configured hook and observer
-// under the shared composition rule.
-func (s *Sim) observePhase(info dynamics.PhaseInfo) bool {
-	return dynamics.DeliverPhase(s.cfg.Hook, s.cfg.Observer, info)
+// Board is the empirical bulletin board of the two stochastic engines (this
+// package's and the meanfield count engine): the phase-start empirical flow,
+// the diff-and-refresh that keeps the run's evaluator on it, and the
+// per-commodity sampling tables derived from what it posts. Sharing it keeps
+// the engines' boards and sampling identical.
+type Board struct {
+	// Flow is the empirical flow the board posts. The engine writes it
+	// before Post, and it stays unchanged while the phase runs.
+	Flow flow.Vector
+	// Tables[i] is commodity i's n_i×n_i row-major sampling table (row =
+	// origin), filled by FillTables once per phase and read-only while the
+	// phase runs.
+	Tables [][]float64
+
+	inst    *flow.Instance
+	ev      *flow.Evaluator
+	prev    []float64
+	changed []int
+	sampler policy.Sampler
+	shared  bool
 }
 
-// syncEvaluator diffs curF against prevF, applies the (incremental when
-// sparse) kernel update, and records curF as the evaluator's last-seen
-// state. changed is reused diff scratch. It is the one definition of the
-// between-phase refresh bookkeeping, shared by the batched and
-// event-driven engines so their boards can never desynchronize.
-func syncEvaluator(ev *flow.Evaluator, curF flow.Vector, prevF []float64, changed *[]int) {
-	cs := (*changed)[:0]
-	for g := range curF {
-		if curF[g] != prevF[g] {
+// NewBoard carves the board's buffers from ws (nil allocates privately).
+func NewBoard(inst *flow.Instance, ev *flow.Evaluator, ws *flow.Workspace, sampler policy.Sampler) *Board {
+	n := inst.NumPaths()
+	b := &Board{
+		Flow:    ws.Floats(n),
+		Tables:  make([][]float64, inst.NumCommodities()),
+		inst:    inst,
+		ev:      ev,
+		prev:    ws.Floats(n),
+		changed: make([]int, 0, n),
+		sampler: sampler,
+		shared:  policy.OriginInvariant(sampler),
+	}
+	for i := range b.Tables {
+		k := inst.NumCommodityPaths(i)
+		b.Tables[i] = ws.Floats(k * k)
+	}
+	return b
+}
+
+// Post diffs Flow against the previous post, applies the (incremental when
+// sparse) kernel update, and returns Flow.
+func (b *Board) Post() flow.Vector {
+	cs := b.changed[:0]
+	for g := range b.Flow {
+		if b.Flow[g] != b.prev[g] {
 			cs = append(cs, g)
 		}
 	}
-	*changed = cs
-	ev.Update(curF, cs)
-	copy(prevF, curF)
+	b.changed = cs
+	b.ev.Refresh(b.Flow, cs...)
+	copy(b.prev, b.Flow)
+	return b.Flow
 }
 
-// fillProbTab fills the per-commodity sampling tables (probTab[i] is an
-// n_i×n_i row-major table, row = origin) from the board snapshot. With an
-// origin-invariant (shared) sampler one row is computed per commodity and
-// copied across origins instead of re-deriving it n times. Shared by the
-// batched and event-driven engines so they sample identically.
-func (s *Sim) fillProbTab(probTab [][]float64, shared bool, snap board.Snapshot) {
-	for i := range probTab {
-		lo, hi := s.inst.CommodityRange(i)
+// FillTables fills the sampling tables from the posted flow and path
+// latencies pl. With an origin-invariant (shared) sampler one row is
+// computed per commodity and copied across origins instead of re-deriving
+// it n times.
+func (b *Board) FillTables(pl []float64) {
+	for i, tab := range b.Tables {
+		lo, hi := b.inst.CommodityRange(i)
 		n := hi - lo
-		flows := snap.PathFlows[lo:hi]
-		lats := snap.PathLatencies[lo:hi]
-		if shared && n > 0 {
-			s.cfg.Policy.Sampler.Probabilities(0, flows, lats, probTab[i][:n])
+		flows := b.Flow[lo:hi]
+		lats := pl[lo:hi]
+		if b.shared && n > 0 {
+			b.sampler.Probabilities(0, flows, lats, tab[:n])
 			for origin := 1; origin < n; origin++ {
-				copy(probTab[i][origin*n:(origin+1)*n], probTab[i][:n])
+				copy(tab[origin*n:(origin+1)*n], tab[:n])
 			}
 			continue
 		}
 		for origin := 0; origin < n; origin++ {
-			s.cfg.Policy.Sampler.Probabilities(origin, flows, lats, probTab[i][origin*n:(origin+1)*n])
+			b.sampler.Probabilities(origin, flows, lats, tab[origin*n:(origin+1)*n])
 		}
 	}
 }
 
 // runShard advances one shard through a phase of length tau against the
-// frozen board snapshot. Every agent activates Poisson(tau) times; each
+// posted path latencies pl. Every agent activates Poisson(tau) times; each
 // activation samples a path from the board-derived table and migrates with
 // the policy's probability computed on board latencies. The shard checks
 // ctx every ctxCheckEvents activation events (like the event-driven engine,
 // and never before the first, so short phases always complete) and reports
 // whether it finished the phase; the per-shard counts remain consistent at
 // whatever activation it stopped at.
-func (s *Sim) runShard(ctx context.Context, w int, rng *RNG, snap board.Snapshot, probTab [][]float64, tau float64) bool {
+func (s *Sim) runShard(ctx context.Context, w int, rng *RNG, pl []float64, probTab [][]float64, tau float64) bool {
 	shard := s.shards[w]
 	counts := s.counts[w]
 	mig := s.cfg.Policy.Migrator
@@ -434,7 +387,7 @@ func (s *Sim) runShard(ctx context.Context, w int, rng *RNG, snap board.Snapshot
 		i := int(a.commodity)
 		lo, _ := s.inst.CommodityRange(i)
 		n := s.inst.NumCommodityPaths(i)
-		lats := snap.PathLatencies[lo : lo+n]
+		lats := pl[lo : lo+n]
 		for act := 0; act < k; act++ {
 			if events > 0 && events%ctxCheckEvents == 0 && ctx.Err() != nil {
 				return false

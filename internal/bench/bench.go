@@ -216,7 +216,7 @@ func (w *GridWorkload) KernelFluid(ws *flow.Workspace) (float64, error) {
 		UpdatePeriod: w.T,
 		Horizon:      w.Horizon,
 		Integrator:   dynamics.Uniformization,
-		Workspace:    ws,
+		RunShape:     dynamics.RunShape{Workspace: ws},
 	}, w.F0)
 	if err != nil {
 		return 0, err
@@ -367,7 +367,7 @@ func KernelSuite(gridN int) ([]Measurement, error) {
 	runAgents := func() error {
 		sim, err := agents.New(braess, agents.Config{
 			N: 2000, Policy: apol, UpdatePeriod: 0.25, Horizon: 10,
-			Seed: 7, Workers: 1, Workspace: aws,
+			Seed: 7, Workers: 1, RunShape: dynamics.RunShape{Workspace: aws},
 		})
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wardrop/internal/agents"
+	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
 	"wardrop/internal/meanfield"
 	"wardrop/internal/policy"
@@ -53,7 +54,7 @@ func countRun(inst *flow.Instance, pol policy.Policy, ws *flow.Workspace, n int6
 	return func() error {
 		sim, err := meanfield.New(inst, meanfield.Config{
 			N: n, Policy: pol, UpdatePeriod: meanfieldT, Horizon: meanfieldHorizon,
-			Seed: 7, Workspace: ws,
+			Seed: 7, RunShape: dynamics.RunShape{Workspace: ws},
 		})
 		if err != nil {
 			return err
@@ -108,7 +109,7 @@ func MeanfieldSuite(countNs, agentNs []int64) ([]PopulationMeasurement, error) {
 		runAgents := func() error {
 			sim, err := agents.New(inst, agents.Config{
 				N: int(n), Policy: pol, UpdatePeriod: meanfieldT, Horizon: meanfieldHorizon,
-				Seed: 7, Workers: 1, Workspace: ws,
+				Seed: 7, Workers: 1, RunShape: dynamics.RunShape{Workspace: ws},
 			})
 			if err != nil {
 				return err

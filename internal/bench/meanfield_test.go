@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
 	"wardrop/internal/meanfield"
 	"wardrop/internal/policy"
@@ -102,7 +103,7 @@ func BenchmarkMeanfieldPhase(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sim, err := meanfield.New(inst, meanfield.Config{
 					N: n, Policy: pol, UpdatePeriod: 0.25, Horizon: 10,
-					Seed: 7, Workspace: ws,
+					Seed: 7, RunShape: dynamics.RunShape{Workspace: ws},
 				})
 				if err != nil {
 					b.Fatal(err)

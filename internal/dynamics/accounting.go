@@ -30,8 +30,8 @@ func (a PhaseAccount) Lemma4Holds(tol float64) bool {
 	return a.DeltaPhi <= 0.5*a.VirtualGain+tol
 }
 
-// Accountant is a Hook factory that accumulates PhaseAccounts across a run.
-// Attach Hook() to a Config; after the run Accounts holds one entry per
+// Accountant is an Observer that accumulates PhaseAccounts across a run.
+// Pass it as the run's observer; after the run Accounts holds one entry per
 // completed phase transition.
 type Accountant struct {
 	inst     *flow.Instance
@@ -40,8 +40,6 @@ type Accountant struct {
 	havePrev bool
 	// Accounts holds the per-phase bookkeeping in phase order.
 	Accounts []PhaseAccount
-	// Next is an optional downstream hook consulted after accounting.
-	Next Hook
 }
 
 // NewAccountant creates an accountant for the given instance.
@@ -49,28 +47,24 @@ func NewAccountant(inst *flow.Instance) *Accountant {
 	return &Accountant{inst: inst}
 }
 
-// Hook returns the Hook to install in Config.Hook.
-func (a *Accountant) Hook() Hook {
-	return func(info PhaseInfo) bool {
-		if a.havePrev {
-			u := a.inst.ErrorTerms(a.prev, info.Flow)
-			sumU := 0.0
-			for _, x := range u {
-				sumU += x
-			}
-			a.Accounts = append(a.Accounts, PhaseAccount{
-				Phase:       info.Index - 1,
-				DeltaPhi:    info.Potential - a.prevPhi,
-				VirtualGain: a.inst.VirtualGain(a.prev, info.Flow),
-				ErrorSum:    sumU,
-			})
+// ObservePhase accounts the phase that ended at this phase start; it never
+// stops the run.
+func (a *Accountant) ObservePhase(info PhaseInfo) bool {
+	if a.havePrev {
+		u := a.inst.ErrorTerms(a.prev, info.Flow)
+		sumU := 0.0
+		for _, x := range u {
+			sumU += x
 		}
-		a.prev = info.Flow.Clone()
-		a.prevPhi = info.Potential
-		a.havePrev = true
-		if a.Next != nil {
-			return a.Next(info)
-		}
-		return false
+		a.Accounts = append(a.Accounts, PhaseAccount{
+			Phase:       info.Index - 1,
+			DeltaPhi:    info.Potential - a.prevPhi,
+			VirtualGain: a.inst.VirtualGain(a.prev, info.Flow),
+			ErrorSum:    sumU,
+		})
 	}
+	a.prev = info.Flow.Clone()
+	a.prevPhi = info.Potential
+	a.havePrev = true
+	return false
 }

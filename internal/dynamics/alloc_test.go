@@ -29,7 +29,7 @@ func steadyStateConfig(t *testing.T, inst *flow.Instance, integ Integrator, ws *
 		Policy:       mustReplicator(t, inst.LMax()),
 		UpdatePeriod: 0.25,
 		Integrator:   integ,
-		Workspace:    ws,
+		RunShape:     RunShape{Workspace: ws},
 	}
 }
 
@@ -58,7 +58,7 @@ func TestRunBestResponseSteadyStateAllocationFree(t *testing.T) {
 	inst := mustBraess(t)
 	f0 := inst.UniformFlow()
 	ws := flow.NewWorkspace()
-	cfg := BestResponseConfig{UpdatePeriod: 0.25, Workspace: ws}
+	cfg := BestResponseConfig{UpdatePeriod: 0.25, RunShape: RunShape{Workspace: ws}}
 	run := func(phases int) {
 		cfg.Horizon = float64(phases) * cfg.UpdatePeriod
 		if _, err := RunBestResponse(context.Background(), inst, cfg, f0); err != nil {
@@ -75,7 +75,7 @@ func TestRunHedgeSteadyStateAllocationFree(t *testing.T) {
 	inst := mustBraess(t)
 	f0 := inst.UniformFlow()
 	ws := flow.NewWorkspace()
-	cfg := HedgeConfig{Eta: 0.5, UpdatePeriod: 0.25, Workspace: ws}
+	cfg := HedgeConfig{Eta: 0.5, UpdatePeriod: 0.25, RunShape: RunShape{Workspace: ws}}
 	run := func(phases int) {
 		cfg.Horizon = float64(phases) * cfg.UpdatePeriod
 		if _, err := RunHedge(context.Background(), inst, cfg, f0); err != nil {

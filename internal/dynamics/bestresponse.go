@@ -2,7 +2,6 @@ package dynamics
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"wardrop/internal/flow"
@@ -14,35 +13,9 @@ type BestResponseConfig struct {
 	UpdatePeriod float64
 	// Horizon is the simulated time budget.
 	Horizon float64
-	// RecordEvery records a sample every k phases (0 disables).
-	RecordEvery int
-	// Hook observes phase starts; returning true stops the run.
-	//
-	// Deprecated: use Observer; when both are set, both run.
-	Hook Hook
-	// Observer observes phase starts; compose several with MultiObserver.
-	Observer Observer
-	// Delta/Eps enable (δ,ε)-equilibrium accounting as in Config.
-	Delta float64
-	Eps   float64
-	// Weak selects the weak (δ,ε) metric (Definition 4).
-	Weak bool
-	// StopAfterSatisfiedStreak stops the run once this many consecutive
-	// phases started at the configured approximate equilibrium (0 disables).
-	StopAfterSatisfiedStreak int
-	// Workspace, if non-nil, supplies the run's scratch buffers (Reset at
-	// entry); nil allocates privately.
-	Workspace *flow.Workspace
-}
-
-func (c *BestResponseConfig) validate() error {
-	if c.UpdatePeriod <= 0 {
-		return fmt.Errorf("%w: update period %g must be positive", ErrBadConfig, c.UpdatePeriod)
-	}
-	if c.Horizon <= 0 {
-		return fmt.Errorf("%w: horizon %g must be positive", ErrBadConfig, c.Horizon)
-	}
-	return ValidateRunShape(ErrBadConfig, c.RecordEvery, c.Delta, c.Eps, c.StopAfterSatisfiedStreak)
+	// RunShape carries the accounting, recording, observer and workspace
+	// settings every engine shares.
+	RunShape
 }
 
 // RunBestResponse integrates the best-response differential inclusion under
@@ -56,48 +29,32 @@ func (c *BestResponseConfig) validate() error {
 // Cancellation is checked between phases: when ctx is done the partial
 // result accumulated so far is returned together with ctx.Err().
 func RunBestResponse(ctx context.Context, inst *flow.Instance, cfg BestResponseConfig, f0 flow.Vector) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(ErrBadConfig, cfg.UpdatePeriod, cfg.Horizon); err != nil {
 		return nil, err
 	}
-	if err := inst.Feasible(f0, 1e-9); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasibleStart, err)
+	d, board, err := setup(inst, cfg.RunShape, f0)
+	if err != nil {
+		return nil, err
 	}
-	ws := cfg.Workspace
-	ws.Reset()
-	f := f0.Clone()
-	ev := flow.NewEvaluator(inst, ws)
-	n := inst.NumPaths()
-	b := flow.Vector(ws.Floats(n))
-	res := &Result{}
-	account := NewRoundAccounting(cfg.Delta, cfg.Eps, cfg.Weak, cfg.StopAfterSatisfiedStreak)
-	t := 0.0
-	for phase := 0; t < cfg.Horizon-1e-12; phase++ {
-		if err := ctx.Err(); err != nil {
-			return finish(ev, res, f, t), err
-		}
-		ev.Eval(f)
-		pl := ev.PathLatencies()
-		phi := ev.Potential()
-		info := PhaseInfo{Index: phase, Time: t, Flow: f, PathLatencies: pl, Potential: phi}
-		streakStop := account.Observe(inst, &info, res)
-		if cfg.RecordEvery > 0 && phase%cfg.RecordEvery == 0 {
-			res.Trajectory = append(res.Trajectory, Sample{Time: t, Potential: phi, Flow: f.Clone()})
-		}
-		if stop := DeliverPhase(cfg.Hook, cfg.Observer, info); stop || streakStop {
-			res.Stopped = true
-			break
-		}
+	s := &bestResponse{evalBoard: board, inst: inst, b: cfg.Workspace.Floats(inst.NumPaths())}
+	return Loop(ctx, d, s, cfg.UpdatePeriod, cfg.Horizon)
+}
 
-		inst.BestResponseInto(pl, b)
-		tau := math.Min(cfg.UpdatePeriod, cfg.Horizon-t)
-		decay := math.Exp(-tau)
-		for i := range f {
-			f[i] = b[i] + (f[i]-b[i])*decay
-		}
-		t += tau
-		res.Phases++
+// bestResponse relaxes the state towards the board's best response b.
+type bestResponse struct {
+	evalBoard
+	inst *flow.Instance
+	b    flow.Vector
+}
+
+func (s *bestResponse) Advance(_ context.Context, tau float64, pl []float64) bool {
+	f, b := s.f, s.b
+	s.inst.BestResponseInto(pl, b)
+	decay := math.Exp(-tau)
+	for i := range f {
+		f[i] = b[i] + (f[i]-b[i])*decay
 	}
-	return finish(ev, res, f, t), nil
+	return true
 }
 
 // TwoLinkOscillation returns the paper's §3.2 closed-form predictions for

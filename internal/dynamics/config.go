@@ -9,6 +9,7 @@ package dynamics
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"wardrop/internal/flow"
 	"wardrop/internal/policy"
@@ -59,54 +60,23 @@ type Config struct {
 	// UpdatePeriod is the bulletin-board period T. It must be positive; use
 	// RunFresh for the up-to-date-information dynamics.
 	UpdatePeriod float64
-	// Step is the within-phase integrator step (default: T/64 for
-	// Euler/RK4; ignored by Uniformization).
+	// Step is the integrator step. It must be finite; a non-positive step
+	// selects the default: T/64 for Run's Euler/RK4 (Uniformization ignores
+	// it), 1/256 for RunFresh, where it is also the phase length.
 	Step float64
 	// Horizon is the simulated time budget (required, > 0).
 	Horizon float64
 	// Integrator selects the scheme (default RK4).
 	Integrator Integrator
 
-	// Delta and Eps parameterise the (δ,ε)-equilibrium round accounting of
-	// Theorems 6 and 7. If Delta <= 0 accounting is disabled.
-	Delta float64
-	Eps   float64
-	// Weak selects the weak (δ,ε) metric (Definition 4, vs. commodity
-	// average) instead of the strict one (Definition 3, vs. commodity min).
-	Weak bool
-	// StopAfterSatisfiedStreak stops the run once this many consecutive
-	// phases started at the configured approximate equilibrium (0 disables).
-	StopAfterSatisfiedStreak int
-
-	// RecordEvery records a trajectory sample every k phases (0 disables
-	// trajectory recording; endpoints are always in the Result).
-	RecordEvery int
-
-	// Hook, if non-nil, observes every phase start and may stop the run by
-	// returning true.
-	//
-	// Deprecated: use Observer; when both are set, both run.
-	Hook Hook
-
-	// Observer, if non-nil, observes every phase start; see Observer. Compose
-	// several with MultiObserver.
-	Observer Observer
-
-	// Workspace, if non-nil, supplies every scratch buffer of the run (it is
-	// Reset at entry, so one workspace serves any number of sequential runs
-	// without reallocating). Nil allocates privately. See flow.Workspace for
-	// the reuse contract.
-	Workspace *flow.Workspace
+	// RunShape carries the accounting, recording, observer and workspace
+	// settings every engine shares.
+	RunShape
 }
-
-// Hook observes a phase start. Returning true stops the simulation.
-//
-// Deprecated: implement Observer (or wrap the function in ObserverFunc).
-type Hook func(PhaseInfo) bool
 
 // PhaseInfo describes the state at a phase start (a bulletin-board update
 // instant). The slices are views into simulator buffers, valid only during
-// the hook call; copy them to retain.
+// the observer call; copy them to retain.
 type PhaseInfo struct {
 	// Index is the phase number, starting at 0.
 	Index int
@@ -146,52 +116,34 @@ type Result struct {
 	// UnsatisfiedPhases counts phases that did not start at the configured
 	// (δ,ε)-equilibrium — the quantity bounded by Theorems 6 and 7.
 	UnsatisfiedPhases int
-	// Stopped reports whether a hook or satisfied-streak stop fired before
-	// the horizon.
+	// Stopped reports whether an observer or satisfied-streak stop fired
+	// before the horizon.
 	Stopped bool
 	// Trajectory holds recorded samples (nil unless RecordEvery > 0).
 	Trajectory []Sample
 }
 
-// ValidateRunShape rejects the recording/accounting run-shape fields shared
-// by every engine configuration — negative RecordEvery, negative Eps with
-// accounting enabled, negative satisfied streak — wrapping the caller's
-// bad-config sentinel so each package keeps its own error identity. Using
-// this one helper keeps the engines' accepted configs in lockstep.
-func ValidateRunShape(sentinel error, recordEvery int, delta, eps float64, streak int) error {
-	if recordEvery < 0 {
-		return fmt.Errorf("%w: record-every %d must be >= 0", sentinel, recordEvery)
-	}
-	if delta > 0 && eps < 0 {
-		return fmt.Errorf("%w: eps %g must be >= 0 when delta > 0", sentinel, eps)
-	}
-	if streak < 0 {
-		return fmt.Errorf("%w: satisfied streak %d must be >= 0", sentinel, streak)
-	}
-	return nil
-}
-
-// RoundAccounting is the shared per-phase (δ,ε)-equilibrium round
-// accounting of Theorems 6 and 7, used identically by every engine (fluid,
-// fresh, best response, agents): classify the phase start, fill the
-// PhaseInfo accounting fields, count unsatisfied phases on the Result, and
-// report when the satisfied-streak stop fires.
-type RoundAccounting struct {
+// roundAccounting is the per-phase (δ,ε)-equilibrium round accounting of
+// Theorems 6 and 7, run by the phase driver for every engine and by
+// EquilibriumStopper: classify the phase start, fill the PhaseInfo
+// accounting fields, count unsatisfied phases on the Result, and report
+// when the satisfied-streak stop fires.
+type roundAccounting struct {
 	delta, eps float64
 	weak       bool
 	streakStop int
 	streak     int
 }
 
-// NewRoundAccounting builds the accounting; delta <= 0 disables it.
-func NewRoundAccounting(delta, eps float64, weak bool, streakStop int) RoundAccounting {
-	return RoundAccounting{delta: delta, eps: eps, weak: weak, streakStop: streakStop}
+// newRoundAccounting builds the accounting; delta <= 0 disables it.
+func newRoundAccounting(delta, eps float64, weak bool, streakStop int) roundAccounting {
+	return roundAccounting{delta: delta, eps: eps, weak: weak, streakStop: streakStop}
 }
 
-// Observe classifies the phase start (mutating info's Unsatisfied and
+// observe classifies the phase start (mutating info's Unsatisfied and
 // AtEquilibrium fields and res.UnsatisfiedPhases) and reports whether the
 // satisfied-streak stop fired.
-func (a *RoundAccounting) Observe(inst *flow.Instance, info *PhaseInfo, res *Result) bool {
+func (a *roundAccounting) observe(inst *flow.Instance, info *PhaseInfo, res *Result) bool {
 	if a.delta <= 0 {
 		return false
 	}
@@ -211,12 +163,6 @@ func (a *RoundAccounting) Observe(inst *flow.Instance, info *PhaseInfo, res *Res
 }
 
 func (c *Config) validate(stale bool) error {
-	if c.Horizon <= 0 {
-		return fmt.Errorf("%w: horizon %g must be positive", ErrBadConfig, c.Horizon)
-	}
-	if stale && c.UpdatePeriod <= 0 {
-		return fmt.Errorf("%w: update period %g must be positive", ErrBadConfig, c.UpdatePeriod)
-	}
 	if c.Policy.Sampler == nil || c.Policy.Migrator == nil {
 		return fmt.Errorf("%w: policy requires sampler and migrator", ErrBadConfig)
 	}
@@ -228,6 +174,9 @@ func (c *Config) validate(stale bool) error {
 	default:
 		return fmt.Errorf("%w: unknown integrator %d", ErrBadConfig, int(c.Integrator))
 	}
+	if math.IsNaN(c.Step) || math.IsInf(c.Step, 0) {
+		return fmt.Errorf("%w: step %g must be finite", ErrBadConfig, c.Step)
+	}
 	if c.Step <= 0 {
 		if stale {
 			c.Step = c.UpdatePeriod / 64
@@ -235,5 +184,9 @@ func (c *Config) validate(stale bool) error {
 			c.Step = 1.0 / 256
 		}
 	}
-	return ValidateRunShape(ErrBadConfig, c.RecordEvery, c.Delta, c.Eps, c.StopAfterSatisfiedStreak)
+	period := c.UpdatePeriod
+	if !stale {
+		period = c.Step // each outer step of the fresh dynamics is a phase
+	}
+	return c.RunShape.Validate(ErrBadConfig, period, c.Horizon)
 }

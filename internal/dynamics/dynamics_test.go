@@ -97,12 +97,14 @@ func TestFreshReplicatorConvergesOnPigou(t *testing.T) {
 		Policy:  pol,
 		Horizon: 120,
 		Step:    1.0 / 64,
-		Hook: func(info PhaseInfo) bool {
-			if info.Potential > prevPhi+1e-9 {
-				monotone = false
-			}
-			prevPhi = info.Potential
-			return false
+		RunShape: RunShape{
+			Observer: ObserverFunc(func(info PhaseInfo) bool {
+				if info.Potential > prevPhi+1e-9 {
+					monotone = false
+				}
+				prevPhi = info.Potential
+				return false
+			}),
 		},
 	}
 	res, err := RunFresh(context.Background(), inst, cfg, inst.UniformFlow())
@@ -161,7 +163,7 @@ func TestLemma3And4AccountingOnBraess(t *testing.T) {
 		UpdatePeriod: safeT,
 		Horizon:      60 * safeT,
 		Integrator:   Uniformization,
-		Hook:         acct.Hook(),
+		RunShape:     RunShape{Observer: acct},
 	}
 	if _, err := Run(context.Background(), inst, cfg, inst.UniformFlow()); err != nil {
 		t.Fatal(err)
@@ -197,11 +199,13 @@ func TestBestResponseOscillatesOnKink(t *testing.T) {
 	cfg := BestResponseConfig{
 		UpdatePeriod: period,
 		Horizon:      20 * period,
-		Hook: func(info PhaseInfo) bool {
-			flows = append(flows, info.Flow[0])
-			m := math.Max(info.PathLatencies[0], info.PathLatencies[1])
-			maxLats = append(maxLats, m)
-			return false
+		RunShape: RunShape{
+			Observer: ObserverFunc(func(info PhaseInfo) bool {
+				flows = append(flows, info.Flow[0])
+				m := math.Max(info.PathLatencies[0], info.PathLatencies[1])
+				maxLats = append(maxLats, m)
+				return false
+			}),
 		},
 	}
 	res, err := RunBestResponse(context.Background(), inst, cfg, f0)
@@ -307,12 +311,10 @@ func TestUniformLinearRoundAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Policy:                   pol,
-		UpdatePeriod:             safeT,
-		Horizon:                  4000 * safeT,
-		Delta:                    0.05,
-		Eps:                      0.05,
-		StopAfterSatisfiedStreak: 50,
+		Policy:       pol,
+		UpdatePeriod: safeT,
+		Horizon:      4000 * safeT,
+		RunShape:     RunShape{Delta: 0.05, Eps: 0.05, StopAfterSatisfiedStreak: 50},
 	}
 	res, err := Run(context.Background(), inst, cfg, inst.UniformFlow())
 	if err != nil {
@@ -357,7 +359,7 @@ func TestIntegratorsAgree(t *testing.T) {
 func TestTrajectoryRecording(t *testing.T) {
 	inst := mustPigou(t)
 	pol := mustReplicator(t, inst.LMax())
-	cfg := Config{Policy: pol, UpdatePeriod: 0.25, Horizon: 10, RecordEvery: 2}
+	cfg := Config{Policy: pol, UpdatePeriod: 0.25, Horizon: 10, RunShape: RunShape{RecordEvery: 2}}
 	res, err := Run(context.Background(), inst, cfg, inst.UniformFlow())
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +382,7 @@ func TestHookStopsRun(t *testing.T) {
 	pol := mustReplicator(t, inst.LMax())
 	cfg := Config{
 		Policy: pol, UpdatePeriod: 0.25, Horizon: 100,
-		Hook: func(info PhaseInfo) bool { return info.Index >= 5 },
+		RunShape: RunShape{Observer: ObserverFunc(func(info PhaseInfo) bool { return info.Index >= 5 })},
 	}
 	res, err := Run(context.Background(), inst, cfg, inst.UniformFlow())
 	if err != nil {
@@ -400,12 +402,14 @@ func TestFeasibilityPreserved(t *testing.T) {
 		for _, integ := range []Integrator{Euler, RK4, Uniformization} {
 			cfg := Config{
 				Policy: pol, UpdatePeriod: 0.05, Horizon: 10, Integrator: integ,
-				Hook: func(info PhaseInfo) bool {
-					if err := inst.Feasible(info.Flow, 1e-6); err != nil {
-						t.Errorf("%s/%v at t=%g: %v", pol.Name(), integ, info.Time, err)
-						return true
-					}
-					return false
+				RunShape: RunShape{
+					Observer: ObserverFunc(func(info PhaseInfo) bool {
+						if err := inst.Feasible(info.Flow, 1e-6); err != nil {
+							t.Errorf("%s/%v at t=%g: %v", pol.Name(), integ, info.Time, err)
+							return true
+						}
+						return false
+					}),
 				},
 			}
 			if _, err := Run(context.Background(), inst, cfg, inst.UniformFlow()); err != nil {
@@ -438,8 +442,7 @@ func TestRunFreshRecordsAndStops(t *testing.T) {
 	pol := mustReplicator(t, inst.LMax())
 	cfg := Config{
 		Policy: pol, Horizon: 50, Step: 0.1,
-		Delta: 0.05, Eps: 0.05, StopAfterSatisfiedStreak: 20,
-		RecordEvery: 10,
+		RunShape: RunShape{Delta: 0.05, Eps: 0.05, StopAfterSatisfiedStreak: 20, RecordEvery: 10},
 	}
 	res, err := RunFresh(context.Background(), inst, cfg, inst.UniformFlow())
 	if err != nil {
@@ -476,7 +479,7 @@ func TestRunFreshEulerMatchesRK4(t *testing.T) {
 func TestWeakAccounting(t *testing.T) {
 	inst := mustPigou(t)
 	pol := mustReplicator(t, inst.LMax())
-	strictCfg := Config{Policy: pol, UpdatePeriod: 0.25, Horizon: 50, Delta: 0.1, Eps: 0.01}
+	strictCfg := Config{Policy: pol, UpdatePeriod: 0.25, Horizon: 50, RunShape: RunShape{Delta: 0.1, Eps: 0.01}}
 	weakCfg := strictCfg
 	weakCfg.Weak = true
 	rs, err := Run(context.Background(), inst, strictCfg, inst.UniformFlow())

@@ -165,15 +165,17 @@ func TestPhaseInfoConsistency(t *testing.T) {
 	prevTime := -1.0
 	cfg := Config{
 		Policy: pol, UpdatePeriod: 0.2, Horizon: 10,
-		Hook: func(info PhaseInfo) bool {
-			if info.Time <= prevTime {
-				t.Errorf("phase %d time %g <= previous %g", info.Index, info.Time, prevTime)
-			}
-			prevTime = info.Time
-			if got := inst.Potential(info.Flow); math.Abs(got-info.Potential) > 1e-9 {
-				t.Errorf("phase %d: potential mismatch %g vs %g", info.Index, got, info.Potential)
-			}
-			return false
+		RunShape: RunShape{
+			Observer: ObserverFunc(func(info PhaseInfo) bool {
+				if info.Time <= prevTime {
+					t.Errorf("phase %d time %g <= previous %g", info.Index, info.Time, prevTime)
+				}
+				prevTime = info.Time
+				if got := inst.Potential(info.Flow); math.Abs(got-info.Potential) > 1e-9 {
+					t.Errorf("phase %d: potential mismatch %g vs %g", info.Index, got, info.Potential)
+				}
+				return false
+			}),
 		},
 	}
 	if _, err := Run(context.Background(), inst, cfg, inst.UniformFlow()); err != nil {

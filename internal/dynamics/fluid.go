@@ -3,9 +3,9 @@ package dynamics
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"wardrop/internal/flow"
+	"wardrop/internal/policy"
 )
 
 // Run integrates the stale-information dynamics (Eq. 3) from f0 under the
@@ -25,77 +25,86 @@ func Run(ctx context.Context, inst *flow.Instance, cfg Config, f0 flow.Vector) (
 	if err := cfg.validate(true); err != nil {
 		return nil, err
 	}
-	if err := inst.Feasible(f0, 1e-9); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasibleStart, err)
+	d, board, err := setup(inst, cfg.RunShape, f0)
+	if err != nil {
+		return nil, err
 	}
 	ws := cfg.Workspace
-	ws.Reset()
-	f := f0.Clone()
-	ev := flow.NewEvaluator(inst, ws)
-	rm := newRateMatrix(inst, ws)
 	n := inst.NumPaths()
-	var (
-		sc = newRK4Scratch(n, ws)
-		uA = ws.Floats(n)
-		uB = ws.Floats(n)
-		uC = ws.Floats(n)
-	)
-	res := &Result{}
-	account := NewRoundAccounting(cfg.Delta, cfg.Eps, cfg.Weak, cfg.StopAfterSatisfiedStreak)
-	t := 0.0
-	for phase := 0; t < cfg.Horizon-1e-12; phase++ {
-		if err := ctx.Err(); err != nil {
-			return finish(ev, res, f, t), err
-		}
-		ev.Eval(f)
-		pl := ev.PathLatencies()
-		phi := ev.Potential()
-
-		info := PhaseInfo{Index: phase, Time: t, Flow: f, PathLatencies: pl, Potential: phi}
-		streakStop := account.Observe(inst, &info, res)
-		if cfg.RecordEvery > 0 && phase%cfg.RecordEvery == 0 {
-			res.Trajectory = append(res.Trajectory, Sample{Time: t, Potential: phi, Flow: f.Clone()})
-		}
-		if stop := DeliverPhase(cfg.Hook, cfg.Observer, info); stop || streakStop {
-			res.Stopped = true
-			break
-		}
-
-		rm.fill(cfg.Policy, f, pl)
-		tau := math.Min(cfg.UpdatePeriod, cfg.Horizon-t)
-		switch cfg.Integrator {
-		case Euler:
-			integrateEuler(rm, f, tau, cfg.Step, uA)
-		case RK4:
-			integrateRK4(rm, f, tau, cfg.Step, sc)
-		case Uniformization:
-			integrateUniformization(rm, f, tau, uA, uB, uC)
-		}
-		inst.Project(f, 1e-9)
-		t += tau
-		res.Phases++
+	s := &fluid{
+		evalBoard: board,
+		inst:      inst,
+		rm:        newRateMatrix(inst, ws),
+		pol:       cfg.Policy,
+		integ:     cfg.Integrator,
+		step:      cfg.Step,
+		sc:        newRK4Scratch(n, ws),
+		uA:        ws.Floats(n),
+		uB:        ws.Floats(n),
+		uC:        ws.Floats(n),
 	}
-	return finish(ev, res, f, t), nil
+	return Loop(ctx, d, s, cfg.UpdatePeriod, cfg.Horizon)
 }
 
-// finish fills the result's terminal fields from the current state; shared
-// by normal completion and cancellation paths. The evaluator re-evaluates
-// the final flow, so the reported potential matches the reference
-// Instance.Potential bit-for-bit.
-func finish(ev *flow.Evaluator, res *Result, f flow.Vector, t float64) *Result {
-	ev.Eval(f)
-	res.Final = f
-	res.FinalPotential = ev.Potential()
-	res.Elapsed = t
-	return res
+// setup checks the initial flow, then sets up the run's driver and the
+// evaluator board over the run's copy of f0 — the setup every fluid-limit
+// engine shares.
+func setup(inst *flow.Instance, shape RunShape, f0 flow.Vector) (*Driver, evalBoard, error) {
+	if err := inst.Feasible(f0, 1e-9); err != nil {
+		return nil, evalBoard{}, fmt.Errorf("%w: %v", ErrInfeasibleStart, err)
+	}
+	d := NewDriver(inst, shape)
+	f := flow.Vector(shape.Workspace.Floats(len(f0)))
+	copy(f, f0)
+	return d, evalBoard{ev: d.ev, f: f}, nil
+}
+
+// evalBoard is the fluid-limit engines' Board: a full evaluator pass over
+// the state vector f.
+type evalBoard struct {
+	ev *flow.Evaluator
+	f  flow.Vector
+}
+
+// Board evaluates the state on the kernel and returns it.
+func (b evalBoard) Board() flow.Vector {
+	b.ev.Eval(b.f)
+	return b.f
+}
+
+// fluid advances the stale-information dynamics: rates frozen against the
+// board for the whole phase, integrated with the configured scheme.
+type fluid struct {
+	evalBoard
+	inst       *flow.Instance
+	rm         *rateMatrix
+	pol        policy.Policy
+	integ      Integrator
+	step       float64
+	sc         *rk4Scratch
+	uA, uB, uC []float64
+}
+
+func (s *fluid) Advance(_ context.Context, tau float64, pl []float64) bool {
+	s.rm.fill(s.pol, s.f, pl)
+	switch s.integ {
+	case Euler:
+		integrateEuler(s.rm.derivative, s.f, tau, s.step, s.uA)
+	case RK4:
+		integrateRK4(s.rm.derivative, s.f, tau, s.step, s.sc)
+	case Uniformization:
+		integrateUniformization(s.rm, s.f, tau, s.uA, s.uB, s.uC)
+	}
+	s.inst.Project(s.f, 1e-9)
+	return true
 }
 
 // RunFresh integrates the up-to-date-information dynamics (Eq. 1): migration
 // rates are recomputed from the true state at every derivative evaluation.
 // cfg.UpdatePeriod is ignored; cfg.Step is the reporting granularity and the
-// outer step size (each outer step is one "phase" for hooks and recording).
-// Uniformization is rejected — the fresh system is non-linear. Cancellation
-// follows the same partial-result contract as Run.
+// outer step size (each outer step is one "phase" for observers and
+// recording). Uniformization is rejected — the fresh system is non-linear.
+// Cancellation follows the same partial-result contract as Run.
 func RunFresh(ctx context.Context, inst *flow.Instance, cfg Config, f0 flow.Vector) (*Result, error) {
 	if err := cfg.validate(false); err != nil {
 		return nil, err
@@ -103,75 +112,52 @@ func RunFresh(ctx context.Context, inst *flow.Instance, cfg Config, f0 flow.Vect
 	if cfg.Integrator == Uniformization {
 		return nil, fmt.Errorf("%w: uniformization requires a frozen board", ErrBadConfig)
 	}
-	if err := inst.Feasible(f0, 1e-9); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasibleStart, err)
+	d, board, err := setup(inst, cfg.RunShape, f0)
+	if err != nil {
+		return nil, err
 	}
 	ws := cfg.Workspace
-	ws.Reset()
-	f := f0.Clone()
-	ev := flow.NewEvaluator(inst, ws)
-	rm := newRateMatrix(inst, ws)
 	n := inst.NumPaths()
-	var (
-		df = ws.Floats(n)
-		sc = newRK4Scratch(n, ws)
-	)
-	// fresh recomputes rates from the supplied state before differentiating.
-	// The evaluator's lazy potential means the inner stage evaluations pay
-	// for flows and latencies only.
-	fresh := func(state flow.Vector, out []float64) {
-		ev.Eval(state)
-		rm.fill(cfg.Policy, state, ev.PathLatencies())
-		rm.derivative(state, out)
+	s := &fresh{
+		evalBoard: board,
+		inst:      inst,
+		rm:        newRateMatrix(inst, ws),
+		pol:       cfg.Policy,
+		integ:     cfg.Integrator,
+		df:        ws.Floats(n),
+		sc:        newRK4Scratch(n, ws),
 	}
-	res := &Result{}
-	account := NewRoundAccounting(cfg.Delta, cfg.Eps, cfg.Weak, cfg.StopAfterSatisfiedStreak)
-	t := 0.0
-	for step := 0; t < cfg.Horizon-1e-12; step++ {
-		if err := ctx.Err(); err != nil {
-			return finish(ev, res, f, t), err
-		}
-		ev.Eval(f)
-		pl := ev.PathLatencies()
-		phi := ev.Potential()
-		info := PhaseInfo{Index: step, Time: t, Flow: f, PathLatencies: pl, Potential: phi}
-		streakStop := account.Observe(inst, &info, res)
-		if cfg.RecordEvery > 0 && step%cfg.RecordEvery == 0 {
-			res.Trajectory = append(res.Trajectory, Sample{Time: t, Potential: phi, Flow: f.Clone()})
-		}
-		if stop := DeliverPhase(cfg.Hook, cfg.Observer, info); stop || streakStop {
-			res.Stopped = true
-			break
-		}
+	return Loop(ctx, d, s, cfg.Step, cfg.Horizon)
+}
 
-		h := math.Min(cfg.Step, cfg.Horizon-t)
-		switch cfg.Integrator {
-		case Euler:
-			fresh(f, df)
-			for i := range f {
-				f[i] += h * df[i]
-			}
-		case RK4:
-			fresh(f, sc.k1)
-			for i := range f {
-				sc.mid[i] = f[i] + 0.5*h*sc.k1[i]
-			}
-			fresh(sc.mid, sc.k2)
-			for i := range f {
-				sc.mid[i] = f[i] + 0.5*h*sc.k2[i]
-			}
-			fresh(sc.mid, sc.k3)
-			for i := range f {
-				sc.mid[i] = f[i] + h*sc.k3[i]
-			}
-			fresh(sc.mid, sc.k4)
-			for i := range f {
-				f[i] += h / 6 * (sc.k1[i] + 2*sc.k2[i] + 2*sc.k3[i] + sc.k4[i])
-			}
-		}
-		inst.Project(f, 1e-9)
-		t += h
-		res.Phases++
+// fresh advances the up-to-date-information dynamics by one outer step.
+type fresh struct {
+	evalBoard
+	inst  *flow.Instance
+	rm    *rateMatrix
+	pol   policy.Policy
+	integ Integrator
+	df    []float64
+	sc    *rk4Scratch
+}
+
+// derive recomputes rates from the supplied state before differentiating.
+// The evaluator's lazy potential means the inner stage evaluations pay for
+// flows and latencies only.
+func (s *fresh) derive(state flow.Vector, out []float64) {
+	s.ev.Eval(state)
+	s.rm.fill(s.pol, state, s.ev.PathLatencies())
+	s.rm.derivative(state, out)
+}
+
+// Advance takes one integrator step of length h, the whole phase.
+func (s *fresh) Advance(_ context.Context, h float64, _ []float64) bool {
+	switch s.integ {
+	case Euler:
+		integrateEuler(s.derive, s.f, h, h, s.df)
+	case RK4:
+		integrateRK4(s.derive, s.f, h, h, s.sc)
 	}
-	return finish(ev, res, f, t), nil
+	s.inst.Project(s.f, 1e-9)
+	return true
 }

@@ -17,17 +17,9 @@ type HedgeConfig struct {
 	UpdatePeriod float64
 	// Horizon is the simulated time budget.
 	Horizon float64
-	// RecordEvery records a sample every k phases (0 disables).
-	RecordEvery int
-	// Hook observes phase starts; returning true stops the run.
-	//
-	// Deprecated: use Observer; when both are set, both run.
-	Hook Hook
-	// Observer observes phase starts; compose several with MultiObserver.
-	Observer Observer
-	// Workspace, if non-nil, supplies the run's scratch buffers (Reset at
-	// entry); nil allocates privately.
-	Workspace *flow.Workspace
+	// RunShape carries the accounting, recording, observer and workspace
+	// settings every engine shares.
+	RunShape
 }
 
 // RunHedge simulates the no-regret multiplicative-weights baseline discussed
@@ -40,69 +32,51 @@ type HedgeConfig struct {
 // policies this is a synchronous discrete-time dynamics; it serves as the
 // online-learning comparator: small η converges (it is a time-discretised
 // replicator), large η·β·T overshoots and oscillates just like best
-// response.
+// response. It runs on the shared phase driver, so the RunShape's observer,
+// (δ,ε) accounting, streak stop and recording apply as for every engine.
 func RunHedge(ctx context.Context, inst *flow.Instance, cfg HedgeConfig, f0 flow.Vector) (*Result, error) {
 	if cfg.Eta <= 0 {
 		return nil, fmt.Errorf("%w: eta %g must be positive", ErrBadConfig, cfg.Eta)
 	}
-	if cfg.UpdatePeriod <= 0 {
-		return nil, fmt.Errorf("%w: update period %g must be positive", ErrBadConfig, cfg.UpdatePeriod)
-	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon %g must be positive", ErrBadConfig, cfg.Horizon)
-	}
-	if err := ValidateRunShape(ErrBadConfig, cfg.RecordEvery, 0, 0, 0); err != nil {
+	if err := cfg.Validate(ErrBadConfig, cfg.UpdatePeriod, cfg.Horizon); err != nil {
 		return nil, err
 	}
-	if err := inst.Feasible(f0, 1e-9); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasibleStart, err)
+	d, board, err := setup(inst, cfg.RunShape, f0)
+	if err != nil {
+		return nil, err
 	}
-	ws := cfg.Workspace
-	ws.Reset()
-	f := f0.Clone()
-	ev := flow.NewEvaluator(inst, ws)
-	res := &Result{}
-	t := 0.0
-	for phase := 0; t < cfg.Horizon-1e-12; phase++ {
-		if err := ctx.Err(); err != nil {
-			return finish(ev, res, f, t), err
-		}
-		ev.Eval(f)
-		pl := ev.PathLatencies()
-		phi := ev.Potential()
-		info := PhaseInfo{Index: phase, Time: t, Flow: f, PathLatencies: pl, Potential: phi}
-		if cfg.RecordEvery > 0 && phase%cfg.RecordEvery == 0 {
-			res.Trajectory = append(res.Trajectory, Sample{Time: t, Potential: phi, Flow: f.Clone()})
-		}
-		if DeliverPhase(cfg.Hook, cfg.Observer, info) {
-			res.Stopped = true
-			break
-		}
+	return Loop(ctx, d, &hedge{evalBoard: board, inst: inst, eta: cfg.Eta}, cfg.UpdatePeriod, cfg.Horizon)
+}
 
-		for i := 0; i < inst.NumCommodities(); i++ {
-			lo, hi := inst.CommodityRange(i)
-			// Max-shift the exponent for numeric stability.
-			minLat := math.Inf(1)
-			for g := lo; g < hi; g++ {
-				if pl[g] < minLat {
-					minLat = pl[g]
-				}
-			}
-			sum := 0.0
-			for g := lo; g < hi; g++ {
-				f[g] *= math.Exp(-cfg.Eta * (pl[g] - minLat))
-				sum += f[g]
-			}
-			if sum > 0 {
-				scale := inst.Commodity(i).Demand / sum
-				for g := lo; g < hi; g++ {
-					f[g] *= scale
-				}
+// hedge applies one multiplicative update per phase.
+type hedge struct {
+	evalBoard
+	inst *flow.Instance
+	eta  float64
+}
+
+func (s *hedge) Advance(_ context.Context, _ float64, pl []float64) bool {
+	f, inst := s.f, s.inst
+	for i := 0; i < inst.NumCommodities(); i++ {
+		lo, hi := inst.CommodityRange(i)
+		// Max-shift the exponent for numeric stability.
+		minLat := math.Inf(1)
+		for g := lo; g < hi; g++ {
+			if pl[g] < minLat {
+				minLat = pl[g]
 			}
 		}
-		tau := math.Min(cfg.UpdatePeriod, cfg.Horizon-t)
-		t += tau
-		res.Phases++
+		sum := 0.0
+		for g := lo; g < hi; g++ {
+			f[g] *= math.Exp(-s.eta * (pl[g] - minLat))
+			sum += f[g]
+		}
+		if sum > 0 {
+			scale := inst.Commodity(i).Demand / sum
+			for g := lo; g < hi; g++ {
+				f[g] *= scale
+			}
+		}
 	}
-	return finish(ev, res, f, t), nil
+	return true
 }

@@ -50,9 +50,11 @@ func TestHedgeLargeEtaOscillates(t *testing.T) {
 	var f1s []float64
 	cfg := HedgeConfig{
 		Eta: 50, UpdatePeriod: 0.5, Horizon: 100,
-		Hook: func(info PhaseInfo) bool {
-			f1s = append(f1s, info.Flow[0])
-			return false
+		RunShape: RunShape{
+			Observer: ObserverFunc(func(info PhaseInfo) bool {
+				f1s = append(f1s, info.Flow[0])
+				return false
+			}),
 		},
 	}
 	res, err := RunHedge(context.Background(), inst, cfg, flow.Vector{0.9, 0.1})
@@ -78,13 +80,16 @@ func TestHedgeLargeEtaOscillates(t *testing.T) {
 func TestHedgeFeasibilityAndRecording(t *testing.T) {
 	inst := mustBraess(t)
 	cfg := HedgeConfig{
-		Eta: 0.5, UpdatePeriod: 0.25, Horizon: 50, RecordEvery: 10,
-		Hook: func(info PhaseInfo) bool {
-			if err := inst.Feasible(info.Flow, 1e-9); err != nil {
-				t.Errorf("phase %d: %v", info.Index, err)
-				return true
-			}
-			return false
+		Eta: 0.5, UpdatePeriod: 0.25, Horizon: 50,
+		RunShape: RunShape{
+			RecordEvery: 10,
+			Observer: ObserverFunc(func(info PhaseInfo) bool {
+				if err := inst.Feasible(info.Flow, 1e-9); err != nil {
+					t.Errorf("phase %d: %v", info.Index, err)
+					return true
+				}
+				return false
+			}),
 		},
 	}
 	res, err := RunHedge(context.Background(), inst, cfg, inst.UniformFlow())
@@ -103,7 +108,7 @@ func TestHedgeHookStops(t *testing.T) {
 	inst := mustPigou(t)
 	res, err := RunHedge(context.Background(), inst, HedgeConfig{
 		Eta: 0.5, UpdatePeriod: 1, Horizon: 100,
-		Hook: func(info PhaseInfo) bool { return info.Index >= 3 },
+		RunShape: RunShape{Observer: ObserverFunc(func(info PhaseInfo) bool { return info.Index >= 3 })},
 	}, inst.UniformFlow())
 	if err != nil {
 		t.Fatal(err)
@@ -127,5 +132,37 @@ func TestHedgeMatchesReplicatorLimit(t *testing.T) {
 	}
 	if d := hres.Final.MaxAbsDiff(rres.Final); d > 0.05 {
 		t.Errorf("hedge and replicator limits differ by %g", d)
+	}
+}
+
+// Hedge runs on the shared phase driver, so it gains the (δ,ε) round
+// accounting every other engine has: its count matches an independent
+// EquilibriumStopper watching the same run, and a satisfied streak stops a
+// converging run.
+func TestHedgeRoundAccounting(t *testing.T) {
+	inst := mustBraess(t)
+	// Multiplicative updates never move flow onto an unused path, so start
+	// with every path used.
+	f0 := flow.Vector{0.6, 0.2, 0.2}
+	stopper := NewEquilibriumStopper(inst, 0.2, 0.1, false, 0)
+	res, err := RunHedge(context.Background(), inst, HedgeConfig{
+		Eta: 0.5, UpdatePeriod: 0.25, Horizon: 20,
+		RunShape: RunShape{Delta: 0.2, Eps: 0.1, Observer: stopper},
+	}, f0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UnsatisfiedPhases == 0 || res.UnsatisfiedPhases != stopper.Unsatisfied {
+		t.Errorf("unsatisfied phases = %d, stopper counted %d; want equal and > 0", res.UnsatisfiedPhases, stopper.Unsatisfied)
+	}
+	res, err = RunHedge(context.Background(), inst, HedgeConfig{
+		Eta: 0.2, UpdatePeriod: 0.25, Horizon: 200,
+		RunShape: RunShape{Delta: 0.2, Eps: 0.1, StopAfterSatisfiedStreak: 5},
+	}, f0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped || res.Elapsed >= 200 {
+		t.Errorf("satisfied streak did not stop the run: stopped=%v elapsed=%g phases=%d", res.Stopped, res.Elapsed, res.Phases)
 	}
 }

@@ -6,12 +6,15 @@ import (
 	"wardrop/internal/flow"
 )
 
+// derivative writes ḟ at state f into df.
+type derivative func(f flow.Vector, df []float64)
+
 // integrateEuler advances f over duration tau with explicit Euler steps of
-// size at most step, holding the rate matrix fixed.
-func integrateEuler(rm *rateMatrix, f flow.Vector, tau, step float64, df []float64) {
+// size at most step.
+func integrateEuler(deriv derivative, f flow.Vector, tau, step float64, df []float64) {
 	for remaining := tau; remaining > 1e-15; {
 		h := math.Min(step, remaining)
-		rm.derivative(f, df)
+		deriv(f, df)
 		for i := range f {
 			f[i] += h * df[i]
 		}
@@ -35,24 +38,24 @@ func newRK4Scratch(n int, ws *flow.Workspace) *rk4Scratch {
 }
 
 // integrateRK4 advances f over duration tau with classic RK4 steps of size
-// at most step, holding the rate matrix fixed. Since the frozen-board system
-// is linear and autonomous, the stage evaluations need no time argument.
-func integrateRK4(rm *rateMatrix, f flow.Vector, tau, step float64, s *rk4Scratch) {
+// at most step. Both dynamics it integrates are autonomous (the frozen-board
+// system is also linear), so the stage evaluations need no time argument.
+func integrateRK4(deriv derivative, f flow.Vector, tau, step float64, s *rk4Scratch) {
 	for remaining := tau; remaining > 1e-15; {
 		h := math.Min(step, remaining)
-		rm.derivative(f, s.k1)
+		deriv(f, s.k1)
 		for i := range f {
 			s.mid[i] = f[i] + 0.5*h*s.k1[i]
 		}
-		rm.derivative(s.mid, s.k2)
+		deriv(s.mid, s.k2)
 		for i := range f {
 			s.mid[i] = f[i] + 0.5*h*s.k2[i]
 		}
-		rm.derivative(s.mid, s.k3)
+		deriv(s.mid, s.k3)
 		for i := range f {
 			s.mid[i] = f[i] + h*s.k3[i]
 		}
-		rm.derivative(s.mid, s.k4)
+		deriv(s.mid, s.k4)
 		for i := range f {
 			f[i] += h / 6 * (s.k1[i] + 2*s.k2[i] + 2*s.k3[i] + s.k4[i])
 		}

@@ -7,10 +7,10 @@ import (
 	"wardrop/internal/flow"
 )
 
-// Observer receives every phase start of a simulation run. It generalises
-// the legacy bool-returning Hook: observers compose (MultiObserver), carry
-// state (TrajectoryRecorder, EquilibriumStopper), and plug into every engine
-// — fluid, best response, agents, Hedge — through one field.
+// Observer receives every phase start of a simulation run. Observers
+// compose (MultiObserver), carry state (TrajectoryRecorder,
+// EquilibriumStopper, Accountant), and plug into every engine — fluid, best
+// response, agents, count, Hedge — through RunShape.Observer.
 type Observer interface {
 	// ObservePhase is called once per phase start with the current state.
 	// Returning true stops the run after the call (the phase is not
@@ -18,8 +18,7 @@ type Observer interface {
 	ObservePhase(PhaseInfo) bool
 }
 
-// ObserverFunc adapts a plain function to the Observer interface; it is the
-// migration path for legacy Hook closures.
+// ObserverFunc adapts a plain function to the Observer interface.
 type ObserverFunc func(PhaseInfo) bool
 
 // ObservePhase calls f.
@@ -83,7 +82,7 @@ func (r *TrajectoryRecorder) ObservePhase(info PhaseInfo) bool {
 // runs) when reusing a scenario.
 type EquilibriumStopper struct {
 	inst *flow.Instance
-	acct RoundAccounting
+	acct roundAccounting
 
 	// Unsatisfied counts observed phases not starting at the configured
 	// approximate equilibrium.
@@ -94,14 +93,14 @@ type EquilibriumStopper struct {
 // Definition 4 metric; streak <= 0 never stops (the stopper then only
 // counts).
 func NewEquilibriumStopper(inst *flow.Instance, delta, eps float64, weak bool, streak int) *EquilibriumStopper {
-	return &EquilibriumStopper{inst: inst, acct: NewRoundAccounting(delta, eps, weak, streak)}
+	return &EquilibriumStopper{inst: inst, acct: newRoundAccounting(delta, eps, weak, streak)}
 }
 
 // ObservePhase classifies the phase start and stops on a satisfied streak.
 // info is taken by value, so the accounting fields it fills stay local.
 func (s *EquilibriumStopper) ObservePhase(info PhaseInfo) bool {
 	var scratch Result
-	stop := s.acct.Observe(s.inst, &info, &scratch)
+	stop := s.acct.observe(s.inst, &info, &scratch)
 	s.Unsatisfied += scratch.UnsatisfiedPhases
 	return stop
 }
@@ -132,19 +131,4 @@ func (p *ProgressReporter) ObservePhase(info PhaseInfo) bool {
 		fmt.Fprintf(p.W, "phase %d t=%g phi=%g\n", info.Index, info.Time, info.Potential)
 	}
 	return false
-}
-
-// DeliverPhase delivers a phase to a hook and an observer (either may be
-// nil). Both always run — no short-circuit — and the run stops if either
-// asked to. It is the single definition of the hook/observer composition
-// rule, shared by every engine (including the agents package).
-func DeliverPhase(h Hook, o Observer, info PhaseInfo) bool {
-	stop := false
-	if h != nil && h(info) {
-		stop = true
-	}
-	if o != nil && o.ObservePhase(info) {
-		stop = true
-	}
-	return stop
 }

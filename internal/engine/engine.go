@@ -81,6 +81,20 @@ func (sc Scenario) initialFlow() flow.Vector {
 	return sc.Instance.UniformFlow()
 }
 
+// runShape is the run shape every engine runs the scenario with: its
+// accounting and recording fields plus the run's observer and workspace.
+func (sc Scenario) runShape(opts Options) dynamics.RunShape {
+	return dynamics.RunShape{
+		Delta:                    sc.Delta,
+		Eps:                      sc.Eps,
+		Weak:                     sc.Weak,
+		StopAfterSatisfiedStreak: sc.StopAfterSatisfiedStreak,
+		RecordEvery:              sc.RecordEvery,
+		Observer:                 opts.Observer,
+		Workspace:                opts.Workspace,
+	}
+}
+
 // validate rejects scenarios no engine can run; engine-specific shape checks
 // (period, policy, population) stay with the engines' own validation.
 func (sc Scenario) validate() error {

@@ -3,11 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"wardrop/internal/agents"
 	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
+	"wardrop/internal/meanfield"
 	"wardrop/internal/policy"
 	"wardrop/internal/topo"
 )
@@ -197,5 +201,68 @@ func TestWithObserverEmptyKeepsNil(t *testing.T) {
 	WithObserver(nil, nil)(&o)
 	if o.Observer != nil {
 		t.Fatalf("all-nil WithObserver set Observer = %#v, want nil", o.Observer)
+	}
+}
+
+// TestNonFiniteRunShapeRejected pins the one shared time-grid check: every
+// engine rejects a NaN or infinite period (the board period, or the fresh
+// dynamics' step) and a NaN or infinite horizon with its package's
+// bad-config error, and the fluid engines reject a NaN integrator step.
+func TestNonFiniteRunShapeRejected(t *testing.T) {
+	inst := mustPigou(t)
+	pol := mustReplicator(t, inst)
+	nan, inf := math.NaN(), math.Inf(1)
+	engines := []struct {
+		eng Engine
+		// withPeriod returns the engine with its phase length overridden
+		// where the engine, not the scenario, holds it (nil: it is the
+		// scenario's UpdatePeriod).
+		withPeriod func(float64) Engine
+		sentinel   error
+	}{
+		{Fluid{}, nil, dynamics.ErrBadConfig},
+		{Fluid{Fresh: true}, func(p float64) Engine { return Fluid{Fresh: true, Step: p} }, dynamics.ErrBadConfig},
+		{BestResponse{}, nil, dynamics.ErrBadConfig},
+		{Agents{N: 100, Seed: 1, Workers: 1}, nil, agents.ErrBadConfig},
+		{Agents{N: 100, Seed: 1, EventDriven: true}, nil, agents.ErrBadConfig},
+		{Count{N: 1000, Seed: 1}, nil, meanfield.ErrBadConfig},
+		{hedgeEngine{eta: 0.5}, nil, dynamics.ErrBadConfig},
+	}
+	type badCase struct {
+		name            string
+		eng             Engine
+		period, horizon float64
+		sentinel        error
+	}
+	var cases []badCase
+	for _, e := range engines {
+		name := e.eng.Name()
+		if a, ok := e.eng.(Agents); ok && a.EventDriven {
+			name = "agents-event"
+		}
+		for _, p := range []float64{nan, inf, -inf} {
+			c := badCase{fmt.Sprintf("%s/period=%g", name, p), e.eng, p, 2, e.sentinel}
+			if e.withPeriod != nil {
+				c.eng, c.period = e.withPeriod(p), 0.25
+			}
+			cases = append(cases, c)
+		}
+		for _, h := range []float64{nan, inf} {
+			cases = append(cases, badCase{fmt.Sprintf("%s/horizon=%g", name, h), e.eng, 0.25, h, e.sentinel})
+		}
+	}
+	cases = append(cases,
+		badCase{"fluid/step=NaN", Fluid{Step: nan}, 0.25, 2, dynamics.ErrBadConfig},
+		badCase{"fresh/step=NaN", Fluid{Fresh: true, Step: nan}, 0.25, 2, dynamics.ErrBadConfig},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Run(context.Background(), Scenario{
+				Engine: c.eng, Instance: inst, Policy: pol, UpdatePeriod: c.period, Horizon: c.horizon,
+			})
+			if !errors.Is(err, c.sentinel) {
+				t.Fatalf("err = %v, want %v", err, c.sentinel)
+			}
+		})
 	}
 }

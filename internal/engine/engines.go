@@ -36,18 +36,12 @@ func (e Fluid) Name() string {
 // Run integrates the scenario's fluid dynamics.
 func (e Fluid) Run(ctx context.Context, sc Scenario, opts Options) (*Result, error) {
 	cfg := dynamics.Config{
-		Policy:                   sc.Policy,
-		UpdatePeriod:             sc.UpdatePeriod,
-		Step:                     e.Step,
-		Horizon:                  sc.Horizon,
-		Integrator:               e.Integrator,
-		Delta:                    sc.Delta,
-		Eps:                      sc.Eps,
-		Weak:                     sc.Weak,
-		StopAfterSatisfiedStreak: sc.StopAfterSatisfiedStreak,
-		RecordEvery:              sc.RecordEvery,
-		Observer:                 opts.Observer,
-		Workspace:                opts.Workspace,
+		Policy:       sc.Policy,
+		UpdatePeriod: sc.UpdatePeriod,
+		Step:         e.Step,
+		Horizon:      sc.Horizon,
+		Integrator:   e.Integrator,
+		RunShape:     sc.runShape(opts),
 	}
 	if e.Fresh {
 		return dynamics.RunFresh(ctx, sc.Instance, cfg, sc.initialFlow())
@@ -67,15 +61,9 @@ func (BestResponse) Name() string { return "bestresponse" }
 // Run integrates the scenario's best-response dynamics.
 func (BestResponse) Run(ctx context.Context, sc Scenario, opts Options) (*Result, error) {
 	cfg := dynamics.BestResponseConfig{
-		UpdatePeriod:             sc.UpdatePeriod,
-		Horizon:                  sc.Horizon,
-		RecordEvery:              sc.RecordEvery,
-		Delta:                    sc.Delta,
-		Eps:                      sc.Eps,
-		Weak:                     sc.Weak,
-		StopAfterSatisfiedStreak: sc.StopAfterSatisfiedStreak,
-		Observer:                 opts.Observer,
-		Workspace:                opts.Workspace,
+		UpdatePeriod: sc.UpdatePeriod,
+		Horizon:      sc.Horizon,
+		RunShape:     sc.runShape(opts),
 	}
 	return dynamics.RunBestResponse(ctx, sc.Instance, cfg, sc.initialFlow())
 }
@@ -108,20 +96,14 @@ func (Agents) Name() string { return "agents" }
 // Run simulates the scenario's finite-N stochastic counterpart.
 func (e Agents) Run(ctx context.Context, sc Scenario, opts Options) (*Result, error) {
 	sim, err := agents.New(sc.Instance, agents.Config{
-		N:                        e.N,
-		Policy:                   sc.Policy,
-		UpdatePeriod:             sc.UpdatePeriod,
-		Horizon:                  sc.Horizon,
-		Seed:                     e.Seed,
-		Workers:                  e.Workers,
-		RecordEvery:              sc.RecordEvery,
-		Observer:                 opts.Observer,
-		InitialFlow:              sc.InitialFlow,
-		Delta:                    sc.Delta,
-		Eps:                      sc.Eps,
-		Weak:                     sc.Weak,
-		StopAfterSatisfiedStreak: sc.StopAfterSatisfiedStreak,
-		Workspace:                opts.Workspace,
+		N:            e.N,
+		Policy:       sc.Policy,
+		UpdatePeriod: sc.UpdatePeriod,
+		Horizon:      sc.Horizon,
+		Seed:         e.Seed,
+		Workers:      e.Workers,
+		InitialFlow:  sc.InitialFlow,
+		RunShape:     sc.runShape(opts),
 	})
 	if err != nil {
 		return nil, err
@@ -153,19 +135,13 @@ func (Count) Name() string { return "count" }
 // Run simulates the scenario's population as per-path counts.
 func (e Count) Run(ctx context.Context, sc Scenario, opts Options) (*Result, error) {
 	sim, err := meanfield.New(sc.Instance, meanfield.Config{
-		N:                        e.N,
-		Policy:                   sc.Policy,
-		UpdatePeriod:             sc.UpdatePeriod,
-		Horizon:                  sc.Horizon,
-		Seed:                     e.Seed,
-		RecordEvery:              sc.RecordEvery,
-		Observer:                 opts.Observer,
-		InitialFlow:              sc.InitialFlow,
-		Delta:                    sc.Delta,
-		Eps:                      sc.Eps,
-		Weak:                     sc.Weak,
-		StopAfterSatisfiedStreak: sc.StopAfterSatisfiedStreak,
-		Workspace:                opts.Workspace,
+		N:            e.N,
+		Policy:       sc.Policy,
+		UpdatePeriod: sc.UpdatePeriod,
+		Horizon:      sc.Horizon,
+		Seed:         e.Seed,
+		InitialFlow:  sc.InitialFlow,
+		RunShape:     sc.runShape(opts),
 	})
 	if err != nil {
 		return nil, err

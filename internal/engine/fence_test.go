@@ -102,9 +102,11 @@ func (e hedgeEngine) Run(ctx context.Context, sc Scenario, opts Options) (*Resul
 		Eta:          e.eta,
 		UpdatePeriod: sc.UpdatePeriod,
 		Horizon:      sc.Horizon,
-		RecordEvery:  sc.RecordEvery,
-		Observer:     opts.Observer,
-		Workspace:    opts.Workspace,
+		RunShape: dynamics.RunShape{
+			RecordEvery: sc.RecordEvery,
+			Observer:    opts.Observer,
+			Workspace:   opts.Workspace,
+		},
 	}, sc.initialFlow())
 }
 

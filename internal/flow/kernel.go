@@ -631,13 +631,6 @@ func (ev *Evaluator) fullRefresh(f Vector, changed []int) {
 	ev.potValid = true
 }
 
-// Update re-evaluates after the caller changed f on the given global
-// paths. The incremental-vs-full cost gate now lives in Refresh itself, so
-// Update is a thin alias kept for callers holding a slice.
-func (ev *Evaluator) Update(f Vector, changed []int) {
-	ev.Refresh(f, changed...)
-}
-
 // EdgeFlows returns the current per-edge flows (a live view).
 func (ev *Evaluator) EdgeFlows() []float64 { return ev.edgeFlow }
 

@@ -223,7 +223,7 @@ func TestEvaluatorUpdateFallback(t *testing.T) {
 		changed[g] = g
 		f[g] = rng.Float64()
 	}
-	ev.Update(f, changed)
+	ev.Refresh(f, changed...)
 	_, _, pl, phi := reference(inst, f)
 	mustEqualBits(t, "path latencies", ev.PathLatencies(), pl)
 	if math.Float64bits(ev.Potential()) != math.Float64bits(phi) {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"wardrop/internal/agents"
 	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
 	"wardrop/internal/policy"
@@ -54,31 +55,16 @@ type Config struct {
 	// Seed makes runs reproducible (splitmix64, the shared topo.SplitMix
 	// stream discipline).
 	Seed uint64
-	// RecordEvery records a sample every k phases (0 disables).
-	RecordEvery int
-	// Observer observes phase starts; compose several with
-	// dynamics.MultiObserver.
-	Observer dynamics.Observer
 	// InitialFlow, if non-nil, distributes each commodity's agents over its
 	// paths proportionally to this (feasible) flow vector instead of the
 	// default even spread. Rounding drift lands on the commodity's first
 	// path — the same placement rule as the per-agent engine.
 	InitialFlow flow.Vector
 
-	// Delta and Eps enable the (δ,ε)-equilibrium round accounting on the
-	// empirical flow at each phase start, with the same semantics as the
-	// fluid dynamics (Theorems 6 and 7). Delta <= 0 disables accounting.
-	Delta float64
-	Eps   float64
-	// Weak selects the weak (δ,ε) metric (Definition 4).
-	Weak bool
-	// StopAfterSatisfiedStreak stops the run once this many consecutive
-	// phases started at the configured approximate equilibrium (0 disables).
-	StopAfterSatisfiedStreak int
-	// Workspace, if non-nil, supplies the run's evaluation scratch (board
-	// latencies, sampling tables, flow buffers; Reset at run entry); nil
-	// allocates privately. See flow.Workspace for the reuse contract.
-	Workspace *flow.Workspace
+	// RunShape carries the settings every engine shares. Observers and the
+	// (δ,ε) accounting see the empirical flow; the workspace supplies the
+	// board latencies, sampling tables and flow buffers.
+	dynamics.RunShape
 }
 
 // Sim is a configured simulation bound to an instance. Create with New, run
@@ -104,42 +90,16 @@ func New(inst *flow.Instance, cfg Config) (*Sim, error) {
 	if cfg.N > MaxPopulation {
 		return nil, fmt.Errorf("%w: N=%d exceeds the exactly representable population %d", ErrBadConfig, cfg.N, MaxPopulation)
 	}
-	if cfg.UpdatePeriod <= 0 {
-		return nil, fmt.Errorf("%w: update period %g", ErrBadConfig, cfg.UpdatePeriod)
-	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon %g", ErrBadConfig, cfg.Horizon)
-	}
 	if cfg.Policy.Sampler == nil || cfg.Policy.Migrator == nil {
 		return nil, fmt.Errorf("%w: policy requires sampler and migrator", ErrBadConfig)
 	}
-	if err := dynamics.ValidateRunShape(ErrBadConfig, cfg.RecordEvery, cfg.Delta, cfg.Eps, cfg.StopAfterSatisfiedStreak); err != nil {
+	if err := cfg.Validate(ErrBadConfig, cfg.UpdatePeriod, cfg.Horizon); err != nil {
 		return nil, err
 	}
 
 	s := &Sim{inst: inst, cfg: cfg}
-	total := inst.TotalDemand()
-	// Per-commodity populations proportional to demand, ≥ 1 each, with the
-	// rounding drift on the largest commodity — the per-agent engine's split,
-	// so both engines put the same weight behind each agent.
-	perComm := make([]int64, inst.NumCommodities())
-	var assigned int64
-	for i := range perComm {
-		ni := int64(math.Round(float64(cfg.N) * inst.Commodity(i).Demand / total))
-		if ni < 1 {
-			ni = 1
-		}
-		perComm[i] = ni
-		assigned += ni
-	}
-	largest := 0
-	for i := range perComm {
-		if perComm[i] > perComm[largest] {
-			largest = i
-		}
-	}
-	perComm[largest] += cfg.N - assigned
-	if perComm[largest] < 1 {
+	perComm, ok := agents.Populations(inst, cfg.N)
+	if !ok {
 		return nil, fmt.Errorf("%w: N=%d too small for %d commodities", ErrBadConfig, cfg.N, inst.NumCommodities())
 	}
 

@@ -4,9 +4,9 @@ import (
 	"context"
 	"math"
 
+	"wardrop/internal/agents"
 	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
-	"wardrop/internal/policy"
 )
 
 // Run simulates until the horizon (or an observer stop) and returns the
@@ -26,108 +26,60 @@ func (s *Sim) Run() (*dynamics.Result, error) {
 // comes from the run's workspace, so phases are allocation-free after the
 // first.
 func (s *Sim) RunContext(ctx context.Context) (*dynamics.Result, error) {
-	res := &dynamics.Result{}
-	nPaths := s.inst.NumPaths()
-	ws := s.cfg.Workspace
-	ws.Reset()
-	ev := flow.NewEvaluator(s.inst, ws)
-	// Double-buffered empirical flow: curF is the phase-start state, prevF
-	// the previous phase's, so the refresh knows exactly which paths changed.
-	curF := flow.Vector(ws.Floats(nPaths))
-	prevF := ws.Floats(nPaths)
-	changed := make([]int, 0, nPaths)
-
-	// Per-phase policy tables: probTab[i] is the n_i×n_i row-major sampling
-	// table (row = origin), rates[i] the same shape holding the
-	// one-activation migration probability to each destination (sampling
-	// probability × migration acceptance; the diagonal stays zero — staying
-	// is the row's complement). The backing memory comes from the workspace.
-	probTab := make([][]float64, s.inst.NumCommodities())
-	rates := make([][]float64, s.inst.NumCommodities())
-	for i := range probTab {
+	d := dynamics.NewDriver(s.inst, s.cfg.RunShape)
+	r := &countRun{
+		Sim:   s,
+		board: agents.NewBoard(s.inst, d.Evaluator(), s.cfg.Workspace, s.cfg.Policy.Sampler),
+		rates: make([][]float64, s.inst.NumCommodities()),
+		rng:   NewRNG(s.cfg.Seed),
+	}
+	for i := range r.rates {
 		n := s.inst.NumCommodityPaths(i)
-		probTab[i] = ws.Floats(n * n)
-		rates[i] = ws.Floats(n * n)
+		r.rates[i] = s.cfg.Workspace.Floats(n * n)
 	}
-	sharedSampler := policy.OriginInvariant(s.cfg.Policy.Sampler)
-	rng := NewRNG(s.cfg.Seed)
-
-	// refresh brings the evaluator in line with the current counts: diff the
-	// empirical flow against the previous phase and apply the (incremental
-	// when sparse) kernel update.
-	refresh := func() {
-		s.empiricalInto(curF)
-		cs := changed[:0]
-		for g := range curF {
-			if curF[g] != prevF[g] {
-				cs = append(cs, g)
-			}
-		}
-		changed = cs
-		ev.Update(curF, cs)
-		copy(prevF, curF)
-	}
-	finish := func(t float64) *dynamics.Result {
-		refresh()
-		res.Final = curF.Clone()
-		res.FinalPotential = ev.Potential()
-		res.Elapsed = t
-		return res
-	}
-
-	account := dynamics.NewRoundAccounting(s.cfg.Delta, s.cfg.Eps, s.cfg.Weak, s.cfg.StopAfterSatisfiedStreak)
-	t := 0.0
-	for phase := 0; t < s.cfg.Horizon-1e-12; phase++ {
-		if err := ctx.Err(); err != nil {
-			return finish(t), err
-		}
-		refresh()
-		pl := ev.PathLatencies()
-		phi := ev.Potential()
-
-		info := dynamics.PhaseInfo{Index: phase, Time: t, Flow: curF, PathLatencies: pl, Potential: phi}
-		streakStop := account.Observe(s.inst, &info, res)
-		if s.cfg.RecordEvery > 0 && phase%s.cfg.RecordEvery == 0 {
-			res.Trajectory = append(res.Trajectory, dynamics.Sample{Time: t, Potential: phi, Flow: curF.Clone()})
-		}
-		if stop := dynamics.DeliverPhase(nil, s.cfg.Observer, info); stop || streakStop {
-			res.Stopped = true
-			break
-		}
-
-		s.fillTables(probTab, rates, sharedSampler, curF, pl)
-		tau := math.Min(s.cfg.UpdatePeriod, s.cfg.Horizon-t)
-		s.advancePhase(rng, rates, tau)
-		t += tau
-		res.Phases++
-	}
-	return finish(t), nil
+	return dynamics.Loop(ctx, d, r, s.cfg.UpdatePeriod, s.cfg.Horizon)
 }
 
-// fillTables fills the per-commodity sampling tables from the frozen board
-// (the per-agent engine's fillProbTab, sharing one row across origins for
-// origin-invariant samplers) and derives the one-activation migration rates:
-// rates[i][p·n+q] = P(sample q)·P(accept the migration) for q ≠ p.
-func (s *Sim) fillTables(probTab, rates [][]float64, shared bool, curF flow.Vector, pl []float64) {
-	mig := s.cfg.Policy.Migrator
-	for i := range probTab {
-		lo, hi := s.inst.CommodityRange(i)
+// countRun is one run: the counts, the board, the per-phase migration
+// rates and the RNG stream.
+type countRun struct {
+	*Sim
+	board *agents.Board
+	// rates[i] is the n_i×n_i row-major (row = origin) one-activation
+	// migration probability to each destination: sampling probability ×
+	// migration acceptance. The diagonal stays zero — staying is the row's
+	// complement.
+	rates [][]float64
+	rng   *RNG
+}
+
+// Board posts the current empirical flow.
+func (r *countRun) Board() flow.Vector {
+	r.empiricalInto(r.board.Flow)
+	return r.board.Post()
+}
+
+// Advance fills the sampling tables and migration rates from the board and
+// samples the phase-end counts.
+func (r *countRun) Advance(_ context.Context, tau float64, pl []float64) bool {
+	r.board.FillTables(pl)
+	r.fillRates(pl)
+	r.advancePhase(r.rng, r.rates, tau)
+	return true
+}
+
+// fillRates derives the one-activation migration rates from the board's
+// sampling tables and the path latencies pl: rates[i][p·n+q] = P(sample
+// q)·P(accept the migration) for q ≠ p.
+func (r *countRun) fillRates(pl []float64) {
+	mig := r.cfg.Policy.Migrator
+	for i, tab := range r.board.Tables {
+		lo, hi := r.inst.CommodityRange(i)
 		n := hi - lo
-		flows := curF[lo:hi]
 		lats := pl[lo:hi]
-		if shared && n > 0 {
-			s.cfg.Policy.Sampler.Probabilities(0, flows, lats, probTab[i][:n])
-			for origin := 1; origin < n; origin++ {
-				copy(probTab[i][origin*n:(origin+1)*n], probTab[i][:n])
-			}
-		} else {
-			for origin := 0; origin < n; origin++ {
-				s.cfg.Policy.Sampler.Probabilities(origin, flows, lats, probTab[i][origin*n:(origin+1)*n])
-			}
-		}
 		for p := 0; p < n; p++ {
-			row := probTab[i][p*n : (p+1)*n]
-			out := rates[i][p*n : (p+1)*n]
+			row := tab[p*n : (p+1)*n]
+			out := r.rates[i][p*n : (p+1)*n]
 			for q := 0; q < n; q++ {
 				if q == p || row[q] <= 0 {
 					out[q] = 0

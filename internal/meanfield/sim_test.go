@@ -334,7 +334,7 @@ func BenchmarkCountRun(b *testing.B) {
 			UpdatePeriod: 0.25,
 			Horizon:      10,
 			Seed:         7,
-			Workspace:    ws,
+			RunShape:     dynamics.RunShape{Workspace: ws},
 		})
 		if err != nil {
 			b.Fatal(err)

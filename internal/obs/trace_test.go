@@ -135,8 +135,7 @@ func TestTracerFluidRunAllocationFree(t *testing.T) {
 		Policy:       pol,
 		UpdatePeriod: 0.25,
 		Integrator:   dynamics.Uniformization,
-		Workspace:    ws,
-		Observer:     tr,
+		RunShape:     dynamics.RunShape{Workspace: ws, Observer: tr},
 	}
 	run := func(phases int) {
 		cfg.Horizon = float64(phases) * cfg.UpdatePeriod

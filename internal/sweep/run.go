@@ -61,7 +61,7 @@ type Record struct {
 	AtEquilibrium bool `json:"atEquilibrium"`
 	// UnsatisfiedPhases counts phases not starting at the configured
 	// approximate equilibrium — the quantity bounded by Theorems 6 and 7
-	// (fluid runs natively; agent runs via the phase hook).
+	// (counted natively by every engine).
 	UnsatisfiedPhases int `json:"unsatisfiedPhases"`
 	// Phases is the number of completed bulletin-board phases; Converged
 	// reports whether the satisfied-streak stop fired before the budget.

@@ -83,11 +83,11 @@ func WithObserver(obs ...Observer) RunOption { return engine.WithObserver(obs...
 // Observers ------------------------------------------------------------------
 
 // Observer receives every phase start; returning true from ObservePhase
-// stops the run. It replaces the legacy bool-returning Hook.
+// stops the run.
 type Observer = dynamics.Observer
 
-// ObserverFunc adapts a plain function (e.g. a legacy Hook closure) to the
-// Observer interface.
+// ObserverFunc adapts a plain func(PhaseInfo) bool to the Observer
+// interface.
 type ObserverFunc = dynamics.ObserverFunc
 
 // Observers fans one phase stream out to several observers; every observer

@@ -17,11 +17,12 @@ type SimConfig = dynamics.Config
 // SimResult is a simulation outcome.
 type SimResult = dynamics.Result
 
-// PhaseInfo is the per-phase observation passed to hooks.
+// PhaseInfo is the per-phase observation passed to observers.
 type PhaseInfo = dynamics.PhaseInfo
 
-// Hook observes phase starts; return true to stop the run.
-type Hook = dynamics.Hook
+// RunShape holds the run-shape fields every engine configuration embeds:
+// (δ,ε) accounting, streak stop, recording, observer and workspace.
+type RunShape = dynamics.RunShape
 
 // Sample is one recorded trajectory point.
 type Sample = dynamics.Sample
