@@ -23,18 +23,18 @@ import (
 // PhaseInfo an observer sees, so any change to what a run computes, posts,
 // counts, records or reports — in any engine's phase loop — changes it. The
 // digests were captured from the per-engine phase loops that the shared
-// dynamics driver replaced.
+// dynamics driver replaced; the sim-dense shapes' digests were captured
+// before the binomial sampler's squeeze and the per-agent engine's hoisted
+// Poisson threshold, which must not change a bit.
 func TestPhaseLoopFence(t *testing.T) {
 	var mismatches []string
-	for _, inst := range fenceInstances(t) {
-		pol := mustReplicator(t, inst.inst)
-		for _, eng := range fenceEngines() {
-			for _, mode := range fenceModes {
-				key := inst.name + "/" + eng.name + "/" + mode.name
-				got := fenceDigest(t, inst.inst, pol, eng.engine, mode)
-				if want := fenceDigests[key]; got != want {
-					mismatches = append(mismatches, fmt.Sprintf("%q: %q,", key, got))
-				}
+	for _, c := range fenceCases(t) {
+		pol := mustReplicator(t, c.inst)
+		for _, mode := range fenceModes {
+			key := c.name + "/" + mode.name
+			got := fenceDigest(t, c.inst, pol, c.engine, mode)
+			if want := fenceDigests[key]; got != want {
+				mismatches = append(mismatches, fmt.Sprintf("%q: %q,", key, got))
 			}
 		}
 	}
@@ -44,12 +44,20 @@ func TestPhaseLoopFence(t *testing.T) {
 	}
 }
 
-type fenceInstance struct {
-	name string
-	inst *flow.Instance
+// fenceCase is one instance and engine path; its digest key is name plus
+// the mode.
+type fenceCase struct {
+	name   string
+	inst   *flow.Instance
+	engine Engine
 }
 
-func fenceInstances(t *testing.T) []fenceInstance {
+// fenceCases crosses every fence instance with every fence engine, then adds
+// the stochastic shapes of the sim-dense workload: the count engine at ten
+// million agents on the 252-path 6×6 grid, and the per-agent engines at 10⁵
+// agents. Those populations put the binomial and Poisson samplers on the
+// small means a large population spread over many paths draws.
+func fenceCases(t *testing.T) []fenceCase {
 	t.Helper()
 	braess, err := topo.Braess()
 	if err != nil {
@@ -59,11 +67,29 @@ func fenceInstances(t *testing.T) []fenceInstance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := topo.Grid(3)
+	grid3, err := topo.Grid(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []fenceInstance{{"braess", braess}, {"mcp3x4", mcp}, {"grid3", grid}}
+	grid6, err := topo.Grid(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []fenceCase
+	for _, inst := range []struct {
+		name string
+		inst *flow.Instance
+	}{{"braess", braess}, {"mcp3x4", mcp}, {"grid3", grid3}} {
+		for _, eng := range fenceEngines() {
+			cases = append(cases, fenceCase{inst.name + "/" + eng.name, inst.inst, eng.engine})
+		}
+	}
+	return append(cases,
+		fenceCase{"grid6/count-1e7", grid6, Count{N: 10_000_000, Seed: 5}},
+		fenceCase{"grid3/agents-1e5-w1", grid3, Agents{N: 100_000, Seed: 3, Workers: 1}},
+		fenceCase{"grid3/agents-1e5-w2", grid3, Agents{N: 100_000, Seed: 3, Workers: 2}},
+		fenceCase{"grid3/agents-1e5-event", grid3, Agents{N: 100_000, Seed: 3, Workers: 2, EventDriven: true}},
+	)
 }
 
 type fenceEngine struct {
@@ -267,6 +293,21 @@ var fenceDigests = map[string]string{
 	"braess/hedge/observer-stop":                  "2c2a683d4baa9bdf06e86ead2c3aaf0a9139f15261d155fea085698bf69d2782",
 	"braess/hedge/plain":                          "7da0138c8553298f3995edfd66e964207948b88091d8fcb88d7153c393377667",
 	"braess/hedge/weak-fractional":                "704494356e48ac4c5d874db707714555f8d7fcabddf08537aec12aca5848cd8f",
+	"grid3/agents-1e5-event/accounting":           "752c682edb4287a80b1ca5fd5574c364208639a2ac3a31f1862a1b216249418b",
+	"grid3/agents-1e5-event/cancel":               "4347b01c5bc779aa92a857c345b69dbe3eba5b563259827426c34507ee6d269c",
+	"grid3/agents-1e5-event/observer-stop":        "a79849a25e903953f511738d67d5206c056bb9b72955e54365255c884d1a7c39",
+	"grid3/agents-1e5-event/plain":                "1153be8a3a053f35880a2e8459249d57d9a4bf885d747ffa9aa340578f1dba4b",
+	"grid3/agents-1e5-event/weak-fractional":      "ca99199c44641b7e29ad4964c5da054e7f636a19734728327cdb68d440a3d214",
+	"grid3/agents-1e5-w1/accounting":              "72685ad2597184439b7040ccc63c04ca1592f5e9713d02f7ebade708ceaa45ef",
+	"grid3/agents-1e5-w1/cancel":                  "0d6cad1997903ce4996d090588739c73fa1fa047ff858b04a3e69833568d7369",
+	"grid3/agents-1e5-w1/observer-stop":           "6ad56df425eb2b97428e7b8180d9cc83dab64634ead53fe02dc521c4fb3c9fd1",
+	"grid3/agents-1e5-w1/plain":                   "e4603cd53f2fd095d76127b3f3133ae2f95b60c5fddc013848436e4be786f98c",
+	"grid3/agents-1e5-w1/weak-fractional":         "be5c07930ba6851bcb6b6fef72d6644ce38cc95969a830442cb0737a1e38a5ea",
+	"grid3/agents-1e5-w2/accounting":              "d031ef6454176ef932cfb0616a7e62aaef7fd66ff5175887f67260ebf5cf8952",
+	"grid3/agents-1e5-w2/cancel":                  "9ebb1270e2af34308e2f25d19e6b19cf79881877db919998673f4eabe4b226a7",
+	"grid3/agents-1e5-w2/observer-stop":           "0b962241720792cdacf2ae581917872318da8ef07165c056209ab835ebebb37a",
+	"grid3/agents-1e5-w2/plain":                   "42894581ce9ab0340b91228a440d4efa80150219a72632c3793798b3d5c7658a",
+	"grid3/agents-1e5-w2/weak-fractional":         "0226b5b6ce12ecff78aaa1424fbc418bbd956d202ddf274055e8828e09ec18d9",
 	"grid3/agents-event/accounting":               "4ec9f03301fc4ef9a8b5c233e3c765520b529bae39b88ddb85d39fc4f8b9374c",
 	"grid3/agents-event/cancel":                   "c6e611b52235be90e2f7e090bc7695fed1856c30173859f68b45452ff46ad2f7",
 	"grid3/agents-event/observer-stop":            "ccca22036944c188976454d0c0ba465749dfbef5ab0b0da936c8898ecc9aa0d4",
@@ -322,6 +363,11 @@ var fenceDigests = map[string]string{
 	"grid3/hedge/observer-stop":                   "1d98caf690e65176cec4adee407f771aa4d6045a92fe0e7c496217119733754f",
 	"grid3/hedge/plain":                           "396265718ba5af6bd58d886ec0213fc0246e6ce5ec8c2910fcf98b704235c48c",
 	"grid3/hedge/weak-fractional":                 "f411d3ce803d98b953114d6a0cd67e2512a1c8a56d843f5e773e3c8714881a29",
+	"grid6/count-1e7/accounting":                  "f8218ad9fc6b46787105d264b35f7d372c0b17417109489ff30b2a0e02236e69",
+	"grid6/count-1e7/cancel":                      "844d643db87a8b076a4a6ea53e07851f80b3e950c23c2bbe0b65c8ad3e8a73ef",
+	"grid6/count-1e7/observer-stop":               "f8b4e19f35107ba5e9935d213d06fbe4dbe9f5ea11b044bfd05810e626524626",
+	"grid6/count-1e7/plain":                       "ed39539004b73ac28840a5d106dcbd1578758d2d89749a3ac444e734afdf3371",
+	"grid6/count-1e7/weak-fractional":             "47a2febe06ae201f87e9a7e4a746d022aef4bc23d69f0d5f72e3d713d36739ae",
 	"mcp3x4/agents-event/accounting":              "d1ebc280971f0d468bf4672d9b49b79d4bffe8fad04a53823126399da12be936",
 	"mcp3x4/agents-event/cancel":                  "20712a00e76ca729e348ed995fe37a3f0d872c2a53f82cf0033dad860e92f756",
 	"mcp3x4/agents-event/observer-stop":           "e098e92e0b351f8583be70c011a4b381f85489c2df5b2d615d9bd9368ad73e0e",
