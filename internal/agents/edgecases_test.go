@@ -1,6 +1,7 @@
 package agents
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -144,25 +145,70 @@ func TestShardCountInvariant(t *testing.T) {
 
 var benchSink flow.Vector
 
+// BenchmarkAgentPhase measures full batched runs from construction. links16
+// runs 10⁴ agents on four workers for ten phases from the even spread.
+// grid3 is the sim-dense workload's agents document on one worker: 10⁵
+// agents, six phases at the safe period from the skewed start.
 func BenchmarkAgentPhase(b *testing.B) {
-	inst, err := topo.LinearParallelLinks(16)
+	links, err := topo.LinearParallelLinks(16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pol, err := policy.Replicator(inst.LMax())
+	grid3, err := topo.Grid(3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := New(inst, Config{N: 10000, Policy: pol, UpdatePeriod: 0.25, Horizon: 2.5, Seed: 1, Workers: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = res.Final
+	for _, c := range []struct {
+		name string
+		inst *flow.Instance
+		cfg  Config
+	}{
+		{"links16/N=1e4/w4", links, Config{N: 10000, UpdatePeriod: 0.25, Horizon: 2.5, Workers: 4}},
+		{"grid3/N=1e5/w1", grid3, denseConfig(b, grid3, 100_000, 6)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := c.cfg
+			cfg.Policy = mustReplicator(b, c.inst.LMax())
+			cfg.Seed = 1
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := New(c.inst, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := s.RunContext(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = res.Final
+			}
+		})
 	}
+}
+
+// denseConfig is a sim-dense agents document's run shape as a one-worker
+// Config without its policy: n agents, phases phases at the replicator's
+// safe update period, starting with 90% of each commodity's demand on its
+// path of highest free-flow latency and the rest spread evenly.
+func denseConfig(b *testing.B, inst *flow.Instance, n, phases int) Config {
+	b.Helper()
+	T, err := policy.SafeUpdatePeriodFor(mustReplicator(b, inst.LMax()), inst.Beta(), inst.MaxPathLen())
+	if err != nil {
+		b.Fatal(err)
+	}
+	f0 := make(flow.Vector, inst.NumPaths())
+	free := inst.PathLatencies(make(flow.Vector, inst.NumPaths()))
+	for i := 0; i < inst.NumCommodities(); i++ {
+		lo, hi := inst.CommodityRange(i)
+		d := inst.Commodity(i).Demand
+		worst := lo
+		for g := lo; g < hi; g++ {
+			f0[g] = 0.1 * d / float64(hi-lo)
+			if free[g] > free[worst] {
+				worst = g
+			}
+		}
+		f0[worst] += 0.9 * d
+	}
+	return Config{N: n, UpdatePeriod: T, Horizon: float64(phases) * T, InitialFlow: f0, Workers: 1}
 }

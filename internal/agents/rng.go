@@ -30,6 +30,12 @@ func (r *RNG) Float64() float64 {
 // appropriate for the small per-phase activation means (T ≈ 0.01…5) this
 // simulator uses. For large means it falls back to a normal approximation.
 func (r *RNG) Poisson(mean float64) int {
+	return r.poisson(mean, math.Exp(-mean))
+}
+
+// poisson is Poisson given l = e^-mean, the product method's threshold, so
+// callers drawing many variates of one mean compute the exponential once.
+func (r *RNG) poisson(mean, l float64) int {
 	if mean <= 0 {
 		return 0
 	}
@@ -41,7 +47,6 @@ func (r *RNG) Poisson(mean float64) int {
 		}
 		return n
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {

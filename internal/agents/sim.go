@@ -107,47 +107,48 @@ func New(inst *flow.Instance, cfg Config) (*Sim, error) {
 		}
 	}
 	s.weights = make([]float64, inst.NumCommodities())
-	var all []agentState
+	s.shards = make([][]agentState, cfg.Workers)
+	s.counts = make([][]float64, cfg.Workers)
+	for w := range s.shards {
+		s.shards[w] = make([]agentState, 0, (cfg.N+cfg.Workers-1)/cfg.Workers)
+		s.counts[w] = make([]float64, inst.NumPaths())
+	}
+	// Deal agents round-robin as they are placed — the idx-th placed goes to
+	// shard idx mod Workers — so every shard holds a commodity mix.
+	w := 0
+	deal := func(i, lo, p int) {
+		s.shards[w] = append(s.shards[w], agentState{commodity: int32(i), path: int32(p)})
+		s.counts[w][lo+p]++
+		if w++; w == cfg.Workers {
+			w = 0
+		}
+	}
 	for i, pop := range perComm {
 		ni := int(pop)
 		s.weights[i] = inst.Commodity(i).Demand / float64(ni)
+		lo, _ := inst.CommodityRange(i)
 		np := inst.NumCommodityPaths(i)
 		if cfg.InitialFlow == nil {
 			// Spread each commodity's agents evenly over its paths (matching
 			// the fluid runs' uniform initial flow as closely as integrality
 			// allows).
 			for a := 0; a < ni; a++ {
-				all = append(all, agentState{commodity: int32(i), path: int32(a % np)})
+				deal(i, lo, a%np)
 			}
 			continue
 		}
 		// Proportional placement: floor per path, drift onto the first path.
-		lo, _ := inst.CommodityRange(i)
 		demand := inst.Commodity(i).Demand
 		placed := 0
 		for p := 0; p < np; p++ {
 			n := int(math.Floor(cfg.InitialFlow[lo+p] / demand * float64(ni)))
 			for a := 0; a < n && placed < ni; a++ {
-				all = append(all, agentState{commodity: int32(i), path: int32(p)})
+				deal(i, lo, p)
 				placed++
 			}
 		}
 		for ; placed < ni; placed++ {
-			all = append(all, agentState{commodity: int32(i), path: 0})
-		}
-	}
-	// Round-robin deal to shards so every shard holds a commodity mix.
-	s.shards = make([][]agentState, cfg.Workers)
-	for idx, a := range all {
-		w := idx % cfg.Workers
-		s.shards[w] = append(s.shards[w], a)
-	}
-	s.counts = make([][]float64, cfg.Workers)
-	for w := range s.counts {
-		s.counts[w] = make([]float64, inst.NumPaths())
-		for _, a := range s.shards[w] {
-			g := inst.GlobalIndex(int(a.commodity), int(a.path))
-			s.counts[w][g]++
+			deal(i, lo, 0)
 		}
 	}
 	return s, nil
@@ -377,10 +378,12 @@ func (s *Sim) runShard(ctx context.Context, w int, rng *RNG, pl []float64, probT
 	shard := s.shards[w]
 	counts := s.counts[w]
 	mig := s.cfg.Policy.Migrator
+	// Every agent draws Poisson(tau): compute its e^-tau once per phase.
+	l := math.Exp(-tau)
 	events := 0
 	for idx := range shard {
 		a := &shard[idx]
-		k := rng.Poisson(tau)
+		k := rng.poisson(tau, l)
 		if k == 0 {
 			continue
 		}

@@ -57,7 +57,7 @@ func (r *RNG) Binomial(n int64, p float64) int64 {
 	}
 	mean := float64(n) * p
 	if mean <= binvCutoff {
-		return r.binomialInv(n, p)
+		return binomialInv(n, p, r.Float64())
 	}
 	// Normal approximation with continuity correction, clamped to [0, n].
 	x := math.Round(mean + math.Sqrt(mean*(1-p))*r.normal())
@@ -70,17 +70,29 @@ func (r *RNG) Binomial(n int64, p float64) int64 {
 	return int64(x)
 }
 
-// binomialInv draws by sequential inversion (the classic BINV recurrence):
-// walk the pmf from k = 0, subtracting each term from the uniform draw until
+// binomialInv inverts the uniform u by sequential search (the classic BINV
+// recurrence): walk the pmf from k = 0, subtracting each term from u until
 // it is exhausted. Requires p <= 1/2 and np <= binvCutoff.
-func (r *RNG) binomialInv(n int64, p float64) int64 {
+func binomialInv(n int64, p, u float64) int64 {
+	// Squeeze: most draws of a large, sparsely migrating population have
+	// np ≪ 1 and return 0, which needs only u <= q^n, not q^n itself.
+	// Bernoulli's inequality gives q^n = (1-p)^n >= 1 - np. With np < 1 and
+	// p <= 1/2 the exponent n·log1p(-p) below is under 2 in magnitude, so
+	// the computed q^n is within a few ulps of the true value (relative
+	// error under 1e-15), and mean rounds by at most an ulp. The bound below
+	// sits under 1 - np by more than 1e-12, over 10³ times that error, so
+	// every u it accepts is one the search would stop on at k = 0: the draw
+	// and the stream are exactly the full search's.
+	mean := float64(n) * p
+	if mean < 1 && u <= 1-mean*(1+1e-9)-1e-12 {
+		return 0
+	}
 	q := 1 - p
 	s := p / q
 	a := float64(n+1) * s
 	// q^n via log1p: np <= 30 and p <= 1/2 bound n·log(q) above -2·30·ln 2,
 	// far from underflow.
 	prob := math.Exp(float64(n) * math.Log1p(-p))
-	u := r.Float64()
 	var k int64
 	for u > prob {
 		u -= prob

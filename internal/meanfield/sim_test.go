@@ -21,7 +21,7 @@ func braess(t *testing.T) *flow.Instance {
 	return inst
 }
 
-func testPolicy(t *testing.T, inst *flow.Instance) policy.Policy {
+func testPolicy(t testing.TB, inst *flow.Instance) policy.Policy {
 	t.Helper()
 	mig, err := policy.NewLinear(inst.LMax())
 	if err != nil {
@@ -312,35 +312,71 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// BenchmarkCountRun measures a full count-engine run — millions of agents,
-// O(paths) per phase — with the workspace shared across iterations so the
-// steady-state allocation profile is what b.ReportAllocs sees.
+// BenchmarkCountRun measures full count-engine runs, with the workspace
+// shared across iterations so the steady-state allocation profile is what
+// b.ReportAllocs sees. braess runs a million agents for 40 phases from the
+// even spread. grid6 is the sim-dense workload's count document: ten million
+// agents on the 252-path 6×6 grid, three phases at the safe period from the
+// skewed start, where nearly every binomial draw has a mean far below one.
 func BenchmarkCountRun(b *testing.B) {
-	inst, err := topo.Braess()
+	braess, err := topo.Braess()
 	if err != nil {
 		b.Fatal(err)
 	}
-	mig, err := policy.NewLinear(inst.LMax())
+	grid6, err := topo.Grid(6)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pol := policy.Policy{Sampler: policy.Proportional{}, Migrator: mig}
-	ws := flow.NewWorkspace()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := New(inst, Config{
-			N:            1_000_000,
-			Policy:       pol,
-			UpdatePeriod: 0.25,
-			Horizon:      10,
-			Seed:         7,
-			RunShape:     dynamics.RunShape{Workspace: ws},
+	for _, c := range []struct {
+		name string
+		inst *flow.Instance
+		cfg  Config
+	}{
+		{"braess/N=1e6", braess, Config{N: 1_000_000, UpdatePeriod: 0.25, Horizon: 10}},
+		{"grid6/N=1e7", grid6, denseConfig(b, grid6, 10_000_000, 3)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := c.cfg
+			cfg.Policy = testPolicy(b, c.inst)
+			cfg.Seed = 7
+			cfg.Workspace = flow.NewWorkspace()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := New(c.inst, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.RunContext(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.RunContext(context.Background()); err != nil {
-			b.Fatal(err)
-		}
 	}
+}
+
+// denseConfig is a sim-dense document's run shape as a Config without its
+// policy: n agents, phases phases at the replicator's safe update period,
+// starting with 90% of each commodity's demand on its path of highest
+// free-flow latency and the rest spread evenly.
+func denseConfig(b *testing.B, inst *flow.Instance, n int64, phases int) Config {
+	b.Helper()
+	T, err := policy.SafeUpdatePeriodFor(testPolicy(b, inst), inst.Beta(), inst.MaxPathLen())
+	if err != nil {
+		b.Fatal(err)
+	}
+	f0 := make(flow.Vector, inst.NumPaths())
+	free := inst.PathLatencies(make(flow.Vector, inst.NumPaths()))
+	for i := 0; i < inst.NumCommodities(); i++ {
+		lo, hi := inst.CommodityRange(i)
+		d := inst.Commodity(i).Demand
+		worst := lo
+		for g := lo; g < hi; g++ {
+			f0[g] = 0.1 * d / float64(hi-lo)
+			if free[g] > free[worst] {
+				worst = g
+			}
+		}
+		f0[worst] += 0.9 * d
+	}
+	return Config{N: n, UpdatePeriod: T, Horizon: float64(phases) * T, InitialFlow: f0}
 }
