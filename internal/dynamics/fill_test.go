@@ -1,12 +1,10 @@
 package dynamics
 
-// The parallel rate-matrix fill only engages above fillParRows rows, with
-// more than one worker and a builtin (stateless) migrator; the first two
-// rarely hold on small CI boxes, so these tests force the worker count and
-// pin the parallel fill bitwise to the sequential one — the determinism
-// claim the engines rely on — and check that non-builtin policy
-// implementations (which carry no concurrency contract) stay on the
-// sequential paths.
+// The rate-matrix fill takes a direct transposed path for origin-invariant
+// samplers and an origin-major scatter path for custom ones. These tests pin
+// the two paths bitwise to each other and check that custom policy
+// implementations, which carry no concurrency contract, are evaluated
+// strictly sequentially.
 
 import (
 	"math"
@@ -31,8 +29,8 @@ func (originBiased) Probabilities(origin int, flows, _ []float64, probs []float6
 
 func (originBiased) Name() string { return "origin-biased" }
 
-// serialOnlyMigrator wraps a builtin so it is no longer recognized as
-// parallel-safe, and trips the test if evaluated concurrently.
+// serialOnlyMigrator wraps a builtin in a custom type, and trips the test if
+// evaluated concurrently.
 type serialOnlyMigrator struct {
 	m    policy.Migrator
 	busy int32
@@ -70,40 +68,11 @@ func assertRateMatrixEqual(t *testing.T, want, got *rateMatrix) {
 	}
 }
 
-func TestParallelFillMatchesSequential(t *testing.T) {
-	inst, err := topo.LinearParallelLinks(fillParRows + 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := inst.SinglePathFlow(0)
-	pl := inst.PathLatencies(f)
-	mig, err := policy.NewLinear(inst.LMax())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []policy.Policy{
-		{Sampler: policy.Proportional{}, Migrator: mig},
-		{Sampler: policy.Boltzmann{C: 3}, Migrator: mig},
-	} {
-		t.Run(pol.Sampler.Name(), func(t *testing.T) {
-			seq := newRateMatrix(inst, nil)
-			seq.par = 1
-			seq.fill(pol, f, pl)
-
-			par := newRateMatrix(inst, nil)
-			par.par = 4
-			par.fill(pol, f, pl)
-
-			assertRateMatrixEqual(t, seq, par)
-		})
-	}
-}
-
 // TestCustomPolicyStaysSequential pins the concurrency contract: custom
-// samplers and migrators never run in parallel, even on commodities above
-// the parallel threshold with workers available.
+// samplers and migrators never run in parallel, even on a 150-path
+// commodity.
 func TestCustomPolicyStaysSequential(t *testing.T) {
-	inst, err := topo.LinearParallelLinks(fillParRows + 22)
+	inst, err := topo.LinearParallelLinks(150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +89,6 @@ func TestCustomPolicyStaysSequential(t *testing.T) {
 	} {
 		t.Run(pol.Sampler.Name(), func(t *testing.T) {
 			rm := newRateMatrix(inst, nil)
-			rm.par = 4
 			rm.fill(pol, f, pl)
 			if serial.bad {
 				t.Fatal("custom migrator evaluated concurrently")
@@ -128,7 +96,6 @@ func TestCustomPolicyStaysSequential(t *testing.T) {
 			// And the produced rates must match the builtin migrator's
 			// (serialOnlyMigrator only wraps) through the generic kernels.
 			want := newRateMatrix(inst, nil)
-			want.par = 1
 			want.fill(policy.Policy{Sampler: pol.Sampler, Migrator: mig}, f, pl)
 			got := rm
 			assertRateMatrixEqual(t, want, got)

@@ -1,23 +1,9 @@
 package dynamics
 
 import (
-	"runtime"
-	"sync"
-
 	"wardrop/internal/flow"
 	"wardrop/internal/policy"
 )
-
-// fillParRows is the commodity size (paths) above which the rate-matrix
-// fill fans rows out across goroutines. Below it the per-phase spawn
-// overhead beats the win — and staying sequential keeps small steady-state
-// runs allocation-free.
-const fillParRows = 128
-
-// maxFillWorkers caps the fill's parallelism; fills run inside sweep
-// workers that are already pool-parallel, so a modest cap avoids
-// oversubscription while still covering the large-single-run case.
-const maxFillWorkers = 8
 
 // rateMatrix holds, per commodity, the per-unit-flow migration rates
 // R[p][q] = σ_pq · µ(ℓ_p, ℓ_q) computed from a (board) state, plus row sums.
@@ -41,8 +27,6 @@ type rateMatrix struct {
 	// Scratch: one sampler probability row and one origin row.
 	probs  []float64
 	rowBuf []float64
-	// par is the number of workers available to a parallel fill.
-	par int
 	// maxRate is the largest row sum over all commodities (≤ 1 for
 	// probability-valued policies); used by the uniformization integrator.
 	maxRate float64
@@ -51,14 +35,7 @@ type rateMatrix struct {
 // newRateMatrix sizes the matrix for the instance, carving all float
 // storage from ws (nil allocates privately).
 func newRateMatrix(inst *flow.Instance, ws *flow.Workspace) *rateMatrix {
-	par := runtime.GOMAXPROCS(0)
-	if par > maxFillWorkers {
-		par = maxFillWorkers
-	}
-	if par < 1 {
-		par = 1
-	}
-	rm := &rateMatrix{inst: inst, par: par}
+	rm := &rateMatrix{inst: inst}
 	maxN := 0
 	for i := 0; i < inst.NumCommodities(); i++ {
 		n := inst.NumCommodityPaths(i)
@@ -77,13 +54,10 @@ func newRateMatrix(inst *flow.Instance, ws *flow.Workspace) *rateMatrix {
 // globally). Origin-invariant samplers (all builtins) take the fast path:
 // one sampler call per commodity and a direct fill of the transposed
 // storage (contiguous writes, no scatter). Custom samplers fall back to
-// origin-major rows scattered into the transposed layout. Large commodities
-// fill in parallel row chunks, but only when the migrator is a builtin
-// (stateless) kind — the Sampler/Migrator interfaces promise nothing about
-// concurrency, so user implementations always see the strictly sequential
-// evaluation order they were written against. Chunks are disjoint and the
-// row sums rebuild in a fixed order, so the parallel fill is deterministic
-// and bit-identical to the sequential one.
+// origin-major rows scattered into the transposed layout. The fill is
+// strictly sequential: the Sampler/Migrator interfaces promise nothing about
+// concurrency, and it runs inside sweep workers that are already
+// pool-parallel.
 func (rm *rateMatrix) fill(pol policy.Policy, boardFlows flow.Vector, boardLats []float64) {
 	rm.maxRate = 0
 	for i := 0; i < rm.inst.NumCommodities(); i++ {
@@ -91,17 +65,10 @@ func (rm *rateMatrix) fill(pol policy.Policy, boardFlows flow.Vector, boardLats 
 		n := hi - lo
 		flows := boardFlows[lo:hi]
 		lats := boardLats[lo:hi]
-		// The sequential paths are kept free of closures and goroutines, so
-		// steady-state phases of small instances allocate nothing; the
-		// parallel path lives in its own method for the same reason.
 		if policy.OriginInvariant(pol.Sampler) {
 			// One sampler call serves every row.
 			pol.Sampler.Probabilities(0, flows, lats, rm.probs[:n])
-			if n >= fillParRows && rm.par > 1 && policy.ParallelSafeMigrator(pol.Migrator) {
-				rm.fillSharedParallel(pol.Migrator, i, n, lats)
-			} else {
-				rm.fillShared(pol.Migrator, i, 0, n, lats, true)
-			}
+			rm.fillShared(pol.Migrator, i, lats)
 			for _, s := range rm.rowSums[i] {
 				if s > rm.maxRate {
 					rm.maxRate = s
@@ -115,100 +82,33 @@ func (rm *rateMatrix) fill(pol policy.Policy, boardFlows flow.Vector, boardLats 
 	}
 }
 
-// fillShared fills the transposed target rows [p0, p1) of commodity i
-// directly — entry ratesT[p*n+q] = probs[p]·µ(ℓ_q, ℓ_p) — using the shared
-// sampler probability row. With accumulate set it also folds the rows into
-// the origin row sums: for each origin q the contributions arrive in
-// ascending target order, exactly the origin-major row accumulation
-// sequence (the diagonal contributes a literal +0.0, which the reference
-// skips; adding it cannot change any non-negative partial sum).
-func (rm *rateMatrix) fillShared(m policy.Migrator, i, p0, p1 int, lats []float64, accumulate bool) {
+// fillShared fills commodity i's transposed target rows directly — entry
+// ratesT[p*n+q] = probs[p]·µ(ℓ_q, ℓ_p) — using the shared sampler
+// probability row, and folds them into the origin row sums: for each origin
+// q the contributions arrive in ascending target order, exactly the
+// origin-major row accumulation sequence (the diagonal contributes a literal
+// +0.0, which the reference skips; adding it cannot change any non-negative
+// partial sum).
+func (rm *rateMatrix) fillShared(m policy.Migrator, i int, lats []float64) {
 	n := len(lats)
 	ratesT := rm.ratesT[i]
 	probs := rm.probs[:n]
 	sums := rm.rowSums[i]
-	if accumulate {
-		for q := range sums {
-			sums[q] = 0
-		}
+	for q := range sums {
+		sums[q] = 0
 	}
-	for p := p0; p < p1; p++ {
+	for p := 0; p < n; p++ {
 		row := ratesT[p*n : (p+1)*n]
 		policy.InflowRates(m, p, lats, probs[p], row)
-		if accumulate {
-			for q, r := range row {
-				sums[q] += r
-			}
+		for q, r := range row {
+			sums[q] += r
 		}
 	}
-}
-
-// sumColumns recomputes the origin row sums [q0, q1) from the transposed
-// storage: sums[q] = Σ_p ratesT[p*n+q] in ascending target order — the
-// same addition sequence fillShared's fused accumulation produces.
-func (rm *rateMatrix) sumColumns(i, q0, q1, n int) {
-	ratesT := rm.ratesT[i]
-	sums := rm.rowSums[i]
-	for q := q0; q < q1; q++ {
-		acc := 0.0
-		for p := 0; p < n; p++ {
-			acc += ratesT[p*n+q]
-		}
-		sums[q] = acc
-	}
-}
-
-// fillSharedParallel fans fillShared's target rows out across goroutines,
-// then rebuilds the row sums in a second parallel pass (the fused
-// accumulation would interleave chunks non-deterministically). Only called
-// for builtin migrators, whose evaluation is stateless and safe to run
-// concurrently.
-func (rm *rateMatrix) fillSharedParallel(m policy.Migrator, i, n int, lats []float64) {
-	workers := rm.par
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		p0 := w * chunk
-		p1 := p0 + chunk
-		if p1 > n {
-			p1 = n
-		}
-		if p0 >= p1 {
-			break
-		}
-		wg.Add(1)
-		go func(p0, p1 int) {
-			defer wg.Done()
-			rm.fillShared(m, i, p0, p1, lats, false)
-		}(p0, p1)
-	}
-	wg.Wait()
-	var wg2 sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		q0 := w * chunk
-		q1 := q0 + chunk
-		if q1 > n {
-			q1 = n
-		}
-		if q0 >= q1 {
-			break
-		}
-		wg2.Add(1)
-		go func(q0, q1 int) {
-			defer wg2.Done()
-			rm.sumColumns(i, q0, q1, n)
-		}(q0, q1)
-	}
-	wg2.Wait()
 }
 
 // fillRows fills commodity i's origin rows for an origin-dependent
 // (custom) sampler, scattering each origin row into the transposed storage
-// and returning the largest row sum. Always strictly sequential: custom
-// sampler implementations carry no concurrency contract.
+// and returning the largest row sum.
 func (rm *rateMatrix) fillRows(pol policy.Policy, i, n int, flows, lats []float64) float64 {
 	ratesT := rm.ratesT[i]
 	sums := rm.rowSums[i]

@@ -24,6 +24,10 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid6, err := topo.Grid(6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const period = 0.25
 	cases := []struct {
 		name string
@@ -36,6 +40,8 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		{"fluid-rk4", braess, Fluid{Integrator: dynamics.RK4}, 0},
 		{"fluid-uniformization", braess, Fluid{Integrator: dynamics.Uniformization}, 0},
 		{"fluid-layered-random", layered, Fluid{Integrator: dynamics.Uniformization}, 0},
+		// sim-dense's fluid instance: 252 paths in one commodity.
+		{"fluid-grid6", grid6, Fluid{Integrator: dynamics.Euler}, 0},
 		{"fresh-euler", braess, Fluid{Fresh: true, Integrator: dynamics.Euler, Step: period}, 0},
 		{"fresh-rk4", braess, Fluid{Fresh: true, Integrator: dynamics.RK4, Step: period}, 0},
 		{"bestresponse", braess, BestResponse{}, 0},

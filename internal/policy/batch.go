@@ -194,17 +194,3 @@ func OriginInvariant(s Sampler) bool {
 	}
 	return false
 }
-
-// ParallelSafeMigrator reports whether the migrator may be evaluated from
-// several goroutines at once. The builtin kinds are stateless values, so
-// they qualify; unknown implementations conservatively report false — the
-// Migrator interface promises nothing about concurrency, and a stateful
-// custom rule must keep working under the strictly sequential evaluation
-// order it was written against.
-func ParallelSafeMigrator(m Migrator) bool {
-	switch m.(type) {
-	case BetterResponse, Linear, AlphaLinear, Quadratic, RelativeGain:
-		return true
-	}
-	return false
-}
