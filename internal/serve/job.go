@@ -207,12 +207,6 @@ func (j *job) terminalLocked() bool {
 	return j.state == JobDone || j.state == JobFailed
 }
 
-func (j *job) failed() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == JobFailed
-}
-
 // resultBytes returns the final result document of a done job.
 func (j *job) resultBytes() []byte {
 	j.mu.Lock()

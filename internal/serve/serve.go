@@ -314,47 +314,55 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job with panic isolation: a poisoned spec fails its
-// own job, never the worker or the process.
+// own job, never the worker or the process. The job is counted and finished
+// in the metrics before complete or fail releases its waiter, so a client
+// holding its response never scrapes its job as still running.
 func (s *Server) runJob(j *job, ws *flow.Workspace) {
 	start := time.Now()
 	if !j.enqueued.IsZero() {
 		s.met.queueWaitMs.Observe(ms(start.Sub(j.enqueued)))
 	}
 	s.met.running.Add(1)
-	defer s.met.running.Add(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			j.fail(fmt.Errorf("panic: %v", r))
-		}
-		if j.failed() {
-			s.met.jobsFailed.Add(1)
-		}
-		s.met.jobsRun.Add(1)
-		s.met.observe(time.Since(start))
-		j.cancel()
-	}()
 	j.setRunning()
-	var err error
-	switch j.kind {
-	case kindScenario:
-		err = s.runScenario(j, ws)
-	case kindCampaign:
-		err = s.runCampaign(j, ws)
-	case kindTask:
-		err = s.runTask(j, ws)
-	default:
-		err = fmt.Errorf("serve: unknown job kind %q", j.kind)
+	body, err := s.execute(j, ws)
+	if err != nil {
+		s.met.jobsFailed.Add(1)
 	}
+	s.met.jobsRun.Add(1)
+	s.met.observe(time.Since(start))
+	s.met.running.Add(-1)
 	if err != nil {
 		j.fail(err)
+	} else {
+		j.complete(body, false)
 	}
+	j.cancel()
+}
+
+// execute runs the job and returns its result document, turning a panic
+// into the job's error.
+func (s *Server) execute(j *job, ws *flow.Workspace) (body []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	switch j.kind {
+	case kindScenario:
+		return s.runScenario(j, ws)
+	case kindCampaign:
+		return s.runCampaign(j, ws)
+	case kindTask:
+		return s.runTask(j, ws)
+	}
+	return nil, fmt.Errorf("serve: unknown job kind %q", j.kind)
 }
 
 // runScenario executes a scenario job through the shared Spec.Run path —
 // the same execution `wardsim -scenario` uses, so the encoded result
 // document is byte-identical — streaming trajectory samples and replayed
-// timeline events as they happen, then memoizing the document.
-func (s *Server) runScenario(j *job, ws *flow.Workspace) error {
+// timeline events as they happen, then memoizing and returning the document.
+func (s *Server) runScenario(j *job, ws *flow.Workspace) ([]byte, error) {
 	opts := []engine.RunOption{engine.WithWorkspace(ws)}
 	if every := j.spec.RecordEvery; every > 0 {
 		opts = append(opts, engine.WithObserver(dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
@@ -387,20 +395,19 @@ func (s *Server) runScenario(j *job, ws *flow.Workspace) error {
 		j.appendLine(streamLine{Event: &ev})
 	}, opts...)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	doc, err := scenario.NewRunResult(j.spec, res, events)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var buf bytes.Buffer
 	if err := doc.Encode(&buf); err != nil {
-		return err
+		return nil, err
 	}
 	body := buf.Bytes()
 	s.cacheAdd(kindScenario, j.fingerprint, body)
-	j.complete(body, false)
-	return nil
+	return body, nil
 }
 
 // cacheAdd writes a finished result document through both cache tiers,
@@ -451,8 +458,8 @@ type CampaignResult struct {
 }
 
 // runCampaign executes a campaign job, streaming one record line per
-// completed task and finishing with the aggregated summary document.
-func (s *Server) runCampaign(j *job, ws *flow.Workspace) error {
+// completed task and returning the aggregated summary document.
+func (s *Server) runCampaign(j *job, ws *flow.Workspace) ([]byte, error) {
 	_ = ws // campaign workers own their workspaces inside sweep.Run
 	res, err := sweep.Run(j.ctx, j.campaign, sweep.Options{
 		Workers: s.cfg.CampaignWorkers,
@@ -461,7 +468,7 @@ func (s *Server) runCampaign(j *job, ws *flow.Workspace) error {
 		},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.engineRuns.Add(int64(len(res.Records)))
 	failed := 0
@@ -480,12 +487,11 @@ func (s *Server) runCampaign(j *job, ws *flow.Workspace) error {
 	}
 	body, err := json.Marshal(doc)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	body = append(body, '\n')
 	s.cacheAdd(kindCampaign, j.fingerprint, body)
-	j.complete(body, false)
-	return nil
+	return body, nil
 }
 
 // runTask executes one distributed-sweep task job. Task-level failures (a
@@ -494,21 +500,20 @@ func (s *Server) runCampaign(j *job, ws *flow.Workspace) error {
 // only when cancelled before producing a record. The memoized document is the
 // canonical record line: wall time is the submitter's measurement to take,
 // and a replayed cache hit carrying a stale wall time would poison it.
-func (s *Server) runTask(j *job, ws *flow.Workspace) error {
+func (s *Server) runTask(j *job, ws *flow.Workspace) ([]byte, error) {
 	rec, aborted := sweep.RunTaskSpec(j.ctx, j.task, s.instCache, ws)
 	if aborted {
 		if err := j.ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		return context.Canceled
+		return nil, context.Canceled
 	}
 	s.engineRuns.Add(1)
 	body, err := json.Marshal(sweep.CanonicalRecord(rec))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	body = append(body, '\n')
 	s.cacheAdd(kindTask, j.fingerprint, body)
-	j.complete(body, false)
-	return nil
+	return body, nil
 }
