@@ -54,9 +54,9 @@ type fenceCase struct {
 
 // fenceCases crosses every fence instance with every fence engine, then adds
 // the stochastic shapes of the sim-dense workload: the count engine at ten
-// million agents on the 252-path 6×6 grid, and the per-agent engines at 10⁵
-// agents. Those populations put the binomial and Poisson samplers on the
-// small means a large population spread over many paths draws.
+// million agents on the 252-path 6×6 grid, where most binomial draws have
+// means far below one, and the per-agent engines at 10⁵ agents, 10⁵ Poisson
+// draws per phase.
 func fenceCases(t *testing.T) []fenceCase {
 	t.Helper()
 	braess, err := topo.Braess()
