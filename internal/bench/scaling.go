@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
 	"wardrop/internal/graph"
 	"wardrop/internal/solver"
@@ -17,8 +19,9 @@ import (
 // evaluation pass (edge flows, edge latencies, path latencies, potential)
 // on a seeded sparse-random instance, measured three ways — the seed's
 // naive reference pipeline, the compiled kernel pinned to one worker, and
-// the kernel at its default parallelism — plus a Frank–Wolfe equilibrium
-// solve recorded as a cross-check that the instance is well-posed.
+// the kernel at its default parallelism — the cost of one warm one-phase
+// run, plus a Frank–Wolfe equilibrium solve recorded as a cross-check that
+// the instance is well-posed.
 type ScalingMeasurement struct {
 	// Family and Edges identify the workload; ActualEdges and Paths are the
 	// realised instance shape (the generator hits Edges exactly for
@@ -49,6 +52,13 @@ type ScalingMeasurement struct {
 	Speedup    float64 `json:"speedup"`
 	ParSpeedup float64 `json:"parSpeedup"`
 	Efficiency float64 `json:"efficiency"`
+	// WarmRunNs and WarmRunBytes are the wall time and heap bytes of one
+	// best-response run of a single phase on a workspace an earlier run on
+	// the same instance warmed: the per-run set-up (driver, board
+	// evaluator, scratch) plus one phase, what a run pays beyond its
+	// steady-state phases.
+	WarmRunNs    float64 `json:"warmRunNs"`
+	WarmRunBytes int64   `json:"warmRunBytes"`
 	// Equilibrium cross-check: the relative gap, Beckmann potential and
 	// iteration count Frank–Wolfe reaches on this instance under a capped
 	// budget. Recorded, not asserted — the point is that the large random
@@ -163,6 +173,28 @@ func scalingPoint(edges int) (ScalingMeasurement, error) {
 	m.Speedup = m.ReferenceNs / m.ParallelNs
 	m.ParSpeedup = m.SerialNs / m.ParallelNs
 	m.Efficiency = m.ParSpeedup / float64(m.Workers)
+
+	ws := flow.NewWorkspace()
+	warmRun := func() error {
+		_, err := dynamics.RunBestResponse(context.Background(), inst, dynamics.BestResponseConfig{
+			UpdatePeriod: 1,
+			Horizon:      1,
+			RunShape:     dynamics.RunShape{Workspace: ws},
+		}, f)
+		return err
+	}
+	if err := warmRun(); err != nil {
+		return ScalingMeasurement{}, err
+	}
+	warm := measure(fmt.Sprintf("scale/%d/warm-run", edges), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := warmRun(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	m.WarmRunNs = warm.NsPerOp
+	m.WarmRunBytes = warm.BytesPerOp
 
 	res, err := solver.SolveEquilibrium(inst, solver.Options{MaxIters: 100, RelGapTol: 1e-6})
 	if err != nil {

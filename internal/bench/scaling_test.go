@@ -28,8 +28,11 @@ func TestScalingSuiteSmoke(t *testing.T) {
 	if m.LiveEdges <= 0 || m.LiveEdges > m.ActualEdges {
 		t.Errorf("live edges = %d, want in (0, %d]", m.LiveEdges, m.ActualEdges)
 	}
-	if m.BuildNs <= 0 || m.ReferenceNs <= 0 || m.SerialNs <= 0 || m.ParallelNs <= 0 {
+	if m.BuildNs <= 0 || m.ReferenceNs <= 0 || m.SerialNs <= 0 || m.ParallelNs <= 0 || m.WarmRunNs <= 0 {
 		t.Errorf("non-positive timing: %+v", m)
+	}
+	if m.WarmRunBytes <= 0 {
+		t.Errorf("warm run bytes = %d, want > 0 (a run allocates its driver)", m.WarmRunBytes)
 	}
 	if m.Workers < 1 {
 		t.Errorf("workers = %d, want >= 1", m.Workers)
