@@ -156,9 +156,9 @@ var fenceModes = []fenceMode{
 	{name: "weak-fractional", horizon: 2.93, recordEvery: 3, delta: 0.2, eps: 0.1, weak: true, stopAt: -1, cancelAt: -1},
 }
 
-// fenceDigest runs one case through Run and hashes everything the run
-// reported.
-func fenceDigest(t *testing.T, inst *flow.Instance, pol policy.Policy, eng Engine, m fenceMode) string {
+// fenceDigest runs one case through Run, with the given options after its
+// observer, and hashes everything the run reported.
+func fenceDigest(t *testing.T, inst *flow.Instance, pol policy.Policy, eng Engine, m fenceMode, opts ...RunOption) string {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -187,7 +187,7 @@ func fenceDigest(t *testing.T, inst *flow.Instance, pol policy.Policy, eng Engin
 		Weak:                     m.weak,
 		StopAfterSatisfiedStreak: m.streak,
 		RecordEvery:              m.recordEvery,
-	}, WithObserver(obs))
+	}, append([]RunOption{WithObserver(obs)}, opts...)...)
 	switch {
 	case err == nil:
 		d.int(0)

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -78,5 +79,55 @@ func TestLiveEdgeListAndCrossover(t *testing.T) {
 	ev.SetParallelism(8)
 	if !ev.parallelEval() {
 		t.Fatal("forced parallelism did not take the parallel path")
+	}
+}
+
+// Re-arming a kept evaluator restores what a build sets: the default
+// worker count and crossover, no pending touched edges, not evaluated and
+// the potential stale. The mark epoch carries on, so the marks of the
+// earlier run can never collide with the next one's.
+func TestRearmRestoresBuildState(t *testing.T) {
+	// Six disjoint two-edge paths and a dead edge: a one-path change
+	// touches a sixth of the incidence, so Refresh takes the incremental
+	// path.
+	g := graph.New()
+	s, d := g.MustAddNode("s"), g.MustAddNode("t")
+	var lats []latency.Function
+	for i := 0; i < 6; i++ {
+		m := g.MustAddNode(fmt.Sprint("m", i))
+		g.MustAddEdge(s, m)
+		g.MustAddEdge(m, d)
+		lats = append(lats, latency.Linear{Slope: float64(i + 1)}, latency.Constant{C: 1})
+	}
+	g.MustAddEdge(d, s)
+	lats = append(lats, latency.Constant{C: 1})
+	inst, err := NewInstance(g, lats, []Commodity{{Source: s, Sink: d, Demand: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	ev := NewEvaluator(inst, ws)
+	ev.SetParallelism(8)
+	f := inst.UniformFlow()
+	ev.Eval(f)
+	f[0] *= 2
+	ev.Refresh(f, 0)
+	ev.Potential()
+	epoch := ev.epoch
+	if len(ev.touched) == 0 || !ev.evaluated || !ev.potValid || epoch == 0 {
+		t.Fatalf("the incremental refresh left no state to reset: %+v", ev)
+	}
+	ws.Reset()
+	if NewEvaluator(inst, ws) != ev {
+		t.Fatal("not re-armed")
+	}
+	if ev.par != defaultEvalWorkers() || ev.forcePar {
+		t.Errorf("parallelism %d (forced %v), want the default %d", ev.par, ev.forcePar, defaultEvalWorkers())
+	}
+	if len(ev.touched) != 0 || ev.evaluated || ev.potValid {
+		t.Errorf("touched %v, evaluated %v, potential valid %v: want none, false, false", ev.touched, ev.evaluated, ev.potValid)
+	}
+	if ev.epoch != epoch {
+		t.Errorf("epoch %d, want %d carried on", ev.epoch, epoch)
 	}
 }

@@ -30,6 +30,9 @@ import (
 // dozen paths, a few hundred edges. A dead edge's flow is 0 and its latency
 // ℓ_e(0) for good; the evaluator writes both once, when it is built, so
 // EdgeFlows and EdgeLatencies stay full-length and equal to the reference.
+// A workspace keeps the evaluator it built, and the next run on the same
+// instance re-arms it instead of building another, so a warm run pays for
+// the live edges only.
 
 // incidence is the CSR form of the instance's path sets: a forward
 // path→edges layout plus the reverse edge→paths index incremental updates
@@ -190,12 +193,26 @@ func (in *Instance) compileIncidence() *incidence {
 // allocates), so workspace plumbing is always optional.
 //
 // A workspace serializes one run at a time: it is not safe for concurrent
-// use, and buffers handed out before a Reset are invalidated by it. Pools
-// (the sweep engine's workers) therefore keep one workspace per worker.
+// use, and buffers handed out before a Reset are invalidated by it — and so
+// is an evaluator built on it, which NewEvaluator may hand to the next run.
+// Pools (the sweep engine's workers) therefore keep one workspace per
+// worker.
+//
+// The workspace keeps the evaluator NewEvaluator last built on it, with its
+// buffers in evalSlabs consecutive slabs starting at keptAt, and with it
+// the instance the evaluator is bound to. A later NewEvaluator for the same
+// instance at that cursor re-arms it instead of building another. A Floats
+// call that reaches one of its slabs drops it first, so no other caller
+// ever shares its buffers.
 type Workspace struct {
-	slabs [][]float64
-	next  int
+	slabs  [][]float64
+	next   int
+	kept   *Evaluator
+	keptAt int
 }
+
+// evalSlabs is the number of slabs an evaluator's buffers take.
+const evalSlabs = 4
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
@@ -215,6 +232,9 @@ func (w *Workspace) Floats(n int) []float64 {
 	if w == nil {
 		return make([]float64, n)
 	}
+	if w.kept != nil && w.next >= w.keptAt && w.next < w.keptAt+evalSlabs {
+		w.kept = nil
+	}
 	if w.next == len(w.slabs) {
 		w.slabs = append(w.slabs, make([]float64, n))
 	} else if cap(w.slabs[w.next]) < n {
@@ -233,7 +253,8 @@ func (w *Workspace) Floats(n int) []float64 {
 //
 // An evaluator is single-goroutine state; create one per concurrent run
 // (they share the instance's immutable compiled incidence and latency
-// program, so construction is cheap once the instance is warm).
+// program, so construction is cheap once the instance is warm, and free of
+// per-edge work when a workspace re-arms the one it kept).
 type Evaluator struct {
 	inst *Instance
 	inc  *incidence
@@ -245,7 +266,8 @@ type Evaluator struct {
 	pathLat  []float64
 
 	// Incremental bookkeeping: epoch marks de-duplicate touched edges and
-	// dependent paths without clearing arrays between updates.
+	// dependent paths without clearing arrays between updates, or between
+	// the runs that re-arm a kept evaluator.
 	edgeMark  []int32
 	pathMark  []int32
 	epoch     int32
@@ -263,7 +285,7 @@ type Evaluator struct {
 	// balanced boundaries in live-edge and path space (edgeChunks indexes
 	// inc.live), computed once per worker count and reused by every pass,
 	// so parallel phases allocate nothing beyond the goroutine fan-out
-	// itself (the same trade the dynamics parfill makes).
+	// itself.
 	par        int
 	forcePar   bool
 	edgeChunks []int32
@@ -278,7 +300,7 @@ const (
 	// dozen paths stay on the serial path.
 	evalParMinWork = 1 << 14
 	// maxEvalWorkers caps the fan-out; beyond ~8 workers the passes are
-	// memory-bound (matches the dynamics parfill cap).
+	// memory-bound.
 	maxEvalWorkers = 8
 )
 
@@ -294,10 +316,25 @@ func defaultEvalWorkers() int {
 // from ws (nil allocates privately). The dead edges' entries are written
 // here, once, over whatever the workspace slabs held: flow 0, latency
 // ℓ_e(0) and, for the dead edges Potential sums, ∫₀⁰ℓ_e.
+//
+// The workspace keeps the evaluator. When it already keeps one for this
+// instance and the cursor is at that evaluator's slabs — a run on the same
+// instance after a Reset — NewEvaluator re-arms and returns it instead: not
+// evaluated, the potential stale, the live edges back at flow 0 and latency
+// ℓ_e(0), default parallelism. Its dead entries still hold what the build
+// wrote, since no pass writes a dead entry, so the re-armed evaluator is in
+// the state a build leaves at O(live edges) cost and without allocating.
 func NewEvaluator(inst *Instance, ws *Workspace) *Evaluator {
+	if ev := ws.rearm(inst); ev != nil {
+		return ev
+	}
 	inc, lat := inst.kernel()
 	nE := inst.g.NumEdges()
 	nP := inst.totalPaths
+	at := 0
+	if ws != nil {
+		at = ws.next
+	}
 	ev := &Evaluator{
 		inst:     inst,
 		inc:      inc,
@@ -318,6 +355,30 @@ func NewEvaluator(inst *Instance, ws *Workspace) *Evaluator {
 			ev.edgeInt[e] = inst.latencies[e].Integral(0)
 		}
 	}
+	if ws != nil {
+		ws.kept, ws.keptAt = ev, at
+	}
+	return ev
+}
+
+// rearm returns the kept evaluator ready for a new run on inst, with the
+// cursor moved past its slabs, or nil when there is none to re-arm: no
+// workspace, no kept evaluator, another instance, or a cursor elsewhere.
+func (w *Workspace) rearm(inst *Instance) *Evaluator {
+	if w == nil || w.kept == nil || w.kept.inst != inst || w.next != w.keptAt {
+		return nil
+	}
+	w.next += evalSlabs
+	ev := w.kept
+	for _, e := range ev.inc.live {
+		ev.edgeFlow[e] = 0
+		ev.edgeLat[e] = ev.lat.zeroLat[e]
+	}
+	ev.touched = ev.touched[:0]
+	ev.evaluated = false
+	ev.potValid = false
+	ev.par = defaultEvalWorkers()
+	ev.forcePar = false
 	return ev
 }
 
@@ -326,8 +387,9 @@ func NewEvaluator(inst *Instance, ws *Workspace) *Evaluator {
 // with that many workers regardless of the size crossover (differential
 // tests use this to exercise the parallel kernel on small instances).
 // workers == 0 restores the default: min(GOMAXPROCS, 8) workers, engaged
-// only above the crossover threshold. Parallel and serial passes produce
-// identical bits, so this is a performance knob, never a semantic one.
+// only above the crossover threshold, which is also what a workspace's
+// re-arm restores. Parallel and serial passes produce identical bits, so
+// this is a performance knob, never a semantic one.
 func (ev *Evaluator) SetParallelism(workers int) {
 	switch {
 	case workers == 0:

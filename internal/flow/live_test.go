@@ -280,3 +280,127 @@ func TestLiveEdgeDeadTermsOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveEdgeRearmedEvaluator covers the evaluator a workspace keeps: after
+// a Reset, NewEvaluator on the same instance returns the kept evaluator, in
+// the state a build leaves (dead entries included) and without
+// allocating, and every pass on it still matches the reference. Another
+// instance, a cursor away from the kept evaluator's slabs, a nil workspace
+// or a Floats call that reached those slabs each get a new evaluator.
+func TestLiveEdgeRearmedEvaluator(t *testing.T) {
+	for name, inst := range liveEdgeInstances(t) {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				rng := &topo.SplitMix{State: 31}
+				ws := flow.NewWorkspace()
+				ev := flow.NewEvaluator(inst, ws)
+				ev.SetParallelism(workers)
+				// dirty runs every kind of pass on ev and returns the flow
+				// it was left on.
+				dirty := func(ev *flow.Evaluator) flow.Vector {
+					f, g := randomFlow(inst, rng), randomFlow(inst, rng)
+					ev.Eval(f)
+					ev.Potential()
+					changed := make([]int, 0, len(g))
+					for p := range g {
+						if g[p] != f[p] {
+							changed = append(changed, p)
+						}
+					}
+					ev.Refresh(g, changed...)
+					mustMatchReference(t, "dirty", ev, inst, g)
+					return g
+				}
+				dirty(ev)
+
+				ws.Reset()
+				re := flow.NewEvaluator(inst, ws)
+				if re != ev {
+					t.Fatal("a run on the same instance did not re-arm the kept evaluator")
+				}
+				built := flow.NewEvaluator(inst, nil)
+				mustEqualBits(t, "re-armed edge flows", re.EdgeFlows(), built.EdgeFlows())
+				mustEqualBits(t, "re-armed edge latencies", re.EdgeLatencies(), built.EdgeLatencies())
+				re.SetParallelism(workers)
+				h := randomFlow(inst, rng)
+				re.Refresh(h, 0)
+				mustMatchReference(t, "first refresh after re-arm", re, inst, h)
+				g := dirty(re)
+
+				// Without a Reset the kept evaluator is still in use.
+				if next := flow.NewEvaluator(inst, ws); next == re {
+					t.Fatal("the kept evaluator was handed out twice in one run")
+				}
+				mustMatchReference(t, "kept evaluator after a second build", re, inst, g)
+
+				if flow.NewEvaluator(inst, nil) == flow.NewEvaluator(inst, nil) {
+					t.Fatal("a nil workspace returned one evaluator twice")
+				}
+
+				// A caller that took the kept evaluator's slabs may have
+				// overwritten its dead entries: the next run must build.
+				ws.Reset()
+				last := flow.NewEvaluator(inst, ws)
+				ws.Reset()
+				for _, n := range []int{len(last.EdgeFlows()), len(last.EdgeLatencies())} {
+					buf := ws.Floats(n)
+					for i := range buf {
+						buf[i] = math.NaN()
+					}
+				}
+				ws.Reset()
+				if rebuilt := flow.NewEvaluator(inst, ws); rebuilt == last {
+					t.Fatal("an evaluator whose slabs were handed out was re-armed")
+				} else {
+					rebuilt.SetParallelism(workers)
+					rebuilt.Eval(h)
+					mustMatchReference(t, "rebuilt over handed-out slabs", rebuilt, inst, h)
+				}
+
+				if testing.Short() {
+					return
+				}
+				if n := testing.AllocsPerRun(10, func() {
+					ws.Reset()
+					flow.NewEvaluator(inst, ws)
+				}); n != 0 {
+					t.Fatalf("re-arming allocates %g times", n)
+				}
+			})
+		}
+	}
+}
+
+// TestLiveEdgeRearmAcrossSiblings alternates runs on an instance and on a
+// derived sibling, which shares its incidence but not its latency
+// functions, on one workspace: each switch builds a new evaluator over the
+// other's slabs, and each must match the reference.
+func TestLiveEdgeRearmAcrossSiblings(t *testing.T) {
+	base := deadGrid(t, 4)
+	lats := make([]latency.Function, base.Graph().NumEdges())
+	for e := range lats {
+		lats[e] = latency.Scaled{F: base.Latency(graph.EdgeID(e)), Factor: 1.5}
+	}
+	sibling, err := base.Derive(lats, []float64{0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := &topo.SplitMix{State: 37}
+	ws := flow.NewWorkspace()
+	var prev *flow.Evaluator
+	for round := 0; round < 6; round++ {
+		inst := base
+		if round%2 == 1 {
+			inst = sibling
+		}
+		ws.Reset()
+		ev := flow.NewEvaluator(inst, ws)
+		if ev == prev {
+			t.Fatalf("round %d: the sibling's evaluator was re-armed", round)
+		}
+		prev = ev
+		f := randomFlow(inst, rng)
+		ev.Eval(f)
+		mustMatchReference(t, fmt.Sprintf("round %d", round), ev, inst, f)
+	}
+}
