@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"wardrop/internal/dynamics"
@@ -14,7 +16,8 @@ import (
 // the workspace and the compiled kernel, leaving only a constant per-run
 // setup cost. Each case measures the marginal allocations of 100 extra
 // phases (a long run minus a short run), which isolates the phase loop from
-// the setup.
+// the setup. The count runs at the process's GOMAXPROCS (see
+// mallocsPerRun), so a fan-out that sizes itself from GOMAXPROCS counts.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	braess, err := topo.Braess()
 	if err != nil {
@@ -63,8 +66,8 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 				}
 			}
 			run(1) // warm the workspace before measuring
-			short := testing.AllocsPerRun(5, func() { run(10) })
-			long := testing.AllocsPerRun(5, func() { run(110) })
+			short := mallocsPerRun(5, func() { run(10) })
+			long := mallocsPerRun(5, func() { run(110) })
 			extra := long - short
 			t.Logf("%g allocations per 100 extra phases", extra)
 			if extra > c.max+0.5 {
@@ -72,4 +75,28 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mallocsPerRun is the number of heap allocations one call of f makes: the
+// fewest, over runs calls after a warm-up call, that
+// runtime.MemStats.Mallocs counts around a call. Unlike
+// testing.AllocsPerRun it counts at the process's GOMAXPROCS; AllocsPerRun
+// pins GOMAXPROCS to 1 while it counts, which hides whatever a run sizes
+// from GOMAXPROCS (the evaluator's default worker count, for one). It takes
+// the fewest, not the mean: with several Ps the runtime now and then
+// allocates a goroutine descriptor because the starting P's free list is
+// empty, which adds to some calls and not others, while an allocation the
+// run itself makes recurs in every call. The count covers the whole
+// process, so no test in this package runs in parallel with another.
+func mallocsPerRun(runs int, f func()) float64 {
+	f()
+	fewest := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return float64(fewest)
 }
