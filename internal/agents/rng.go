@@ -1,30 +1,30 @@
 package agents
 
-import "math"
+import (
+	"math"
 
-// RNG is a splitmix64 generator: tiny, fast, and deterministic across
-// platforms, so simulation results are reproducible from a seed without
-// depending on math/rand internals.
+	"wardrop/internal/topo"
+)
+
+// RNG is the per-agent engine's variate generator. The raw stream is the
+// shared splitmix64 discipline from internal/topo (topo.SplitMix): tiny,
+// fast and deterministic across platforms, so simulation results are
+// reproducible from a seed without depending on math/rand internals, and
+// seeds derived by topo.DeriveSeed feed this engine as they feed the count
+// engine. On top of the stream it layers the Poisson sampler the agents'
+// activations draw from.
 type RNG struct {
-	state uint64
+	state topo.SplitMix
 }
 
 // NewRNG returns a generator seeded with seed.
-func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
+func NewRNG(seed uint64) *RNG { return &RNG{state: topo.SplitMix{State: seed}} }
 
 // Uint64 returns the next raw 64-bit output.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (r *RNG) Uint64() uint64 { return r.state.Next() }
 
 // Float64 returns a uniform variate in [0,1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
-}
+func (r *RNG) Float64() float64 { return r.state.Float64() }
 
 // Poisson returns a Poisson(mean) variate via Knuth's product method —
 // appropriate for the small per-phase activation means (T ≈ 0.01…5) this
@@ -58,12 +58,5 @@ func (r *RNG) poisson(mean, l float64) int {
 	}
 }
 
-// normal returns a standard normal variate (Box–Muller).
-func (r *RNG) normal() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
+// normal returns a standard normal variate (topo.SplitMix.Normal).
+func (r *RNG) normal() float64 { return r.state.Normal() }

@@ -24,17 +24,6 @@ func (r *RNG) Uint64() uint64 { return r.src.Next() }
 // Float64 returns a uniform variate in [0,1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
 
-// normal returns a standard normal variate (Box–Muller, matching the
-// per-agent RNG's large-mean fallback construction).
-func (r *RNG) normal() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // binvCutoff is the largest mean handled by exact inversion; above it the
 // normal approximation with continuity correction takes over — the same
 // small/large split (and threshold) as the per-agent RNG's Poisson sampler.
@@ -60,7 +49,7 @@ func (r *RNG) Binomial(n int64, p float64) int64 {
 		return binomialInv(n, p, r.Float64())
 	}
 	// Normal approximation with continuity correction, clamped to [0, n].
-	x := math.Round(mean + math.Sqrt(mean*(1-p))*r.normal())
+	x := math.Round(mean + math.Sqrt(mean*(1-p))*r.src.Normal())
 	if x < 0 {
 		return 0
 	}

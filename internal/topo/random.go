@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"wardrop/internal/flow"
 	"wardrop/internal/graph"
@@ -67,6 +68,18 @@ func (s *SplitMix) Next() uint64 {
 // Float64 returns the next value mapped uniformly into [0, 1).
 func (s *SplitMix) Float64() float64 {
 	return float64(s.Next()>>11) / float64(1<<53)
+}
+
+// Normal returns a standard normal variate by the Box–Muller transform of
+// two uniforms, redrawing a first uniform of exactly 0. The count and
+// per-agent engines' large-mean samplers draw from it.
+func (s *SplitMix) Normal() float64 {
+	u1 := s.Float64()
+	for u1 == 0 {
+		u1 = s.Float64()
+	}
+	u2 := s.Float64()
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // DeriveSeed mixes a base seed with a task index into an independent stream
