@@ -66,8 +66,8 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 				}
 			}
 			run(1) // warm the workspace before measuring
-			short := mallocsPerRun(5, func() { run(10) })
-			long := mallocsPerRun(5, func() { run(110) })
+			short := mallocsPerRun(10, func() { run(10) })
+			long := mallocsPerRun(10, func() { run(110) })
 			extra := long - short
 			t.Logf("%g allocations per 100 extra phases", extra)
 			if extra > c.max+0.5 {
@@ -78,18 +78,21 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 }
 
 // mallocsPerRun is the number of heap allocations one call of f makes: the
-// fewest, over runs calls after a warm-up call, that
-// runtime.MemStats.Mallocs counts around a call. Unlike
-// testing.AllocsPerRun it counts at the process's GOMAXPROCS; AllocsPerRun
-// pins GOMAXPROCS to 1 while it counts, which hides whatever a run sizes
-// from GOMAXPROCS (the evaluator's default worker count, for one). It takes
-// the fewest, not the mean: with several Ps the runtime now and then
-// allocates a goroutine descriptor because the starting P's free list is
-// empty, which adds to some calls and not others, while an allocation the
-// run itself makes recurs in every call. The count covers the whole
-// process, so no test in this package runs in parallel with another.
+// fewest, over runs calls after warm-up calls, that runtime.MemStats.Mallocs
+// counts around a call. Unlike testing.AllocsPerRun it counts at the
+// process's GOMAXPROCS; AllocsPerRun pins GOMAXPROCS to 1 while it counts,
+// which hides whatever a run sizes from GOMAXPROCS (the evaluator's default
+// worker count, for one). With several Ps the runtime's own pools add
+// allocations to some calls and not others: a goroutine descriptor when the
+// spawning P's free list is empty, until enough descriptors circulate
+// between the Ps. That takes longer on a loaded machine, so f warms up
+// three times and the fewest count is taken; an allocation the run itself
+// makes recurs in every call. The count covers the whole process, so no
+// test in this package runs in parallel with another.
 func mallocsPerRun(runs int, f func()) float64 {
-	f()
+	for i := 0; i < 3; i++ {
+		f()
+	}
 	fewest := uint64(math.MaxUint64)
 	var before, after runtime.MemStats
 	for i := 0; i < runs; i++ {
