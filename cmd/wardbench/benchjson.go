@@ -20,8 +20,9 @@ type benchReport struct {
 	Schema string `json:"schema"`
 	GoOS   string `json:"goos"`
 	GoArch string `json:"goarch"`
-	// MaxProcs records the parallelism the measurements ran under (the
-	// rate-matrix fill fans out above its row threshold).
+	// MaxProcs records the parallelism the measurements ran under (instance
+	// builds search paths on up to GOMAXPROCS goroutines, and the agents
+	// engine defaults to GOMAXPROCS workers).
 	MaxProcs int `json:"maxprocs"`
 	// GridN is the kernel suite's grid size (0: suite skipped).
 	GridN int `json:"gridN,omitempty"`
@@ -32,9 +33,8 @@ type benchReport struct {
 	// Speedups maps workload prefix to reference-ns / kernel-ns.
 	Speedups map[string]float64 `json:"speedups,omitempty"`
 	// KernelScaling holds the kernelScaling suite: one row per instance
-	// size with reference/serial/parallel ns per full evaluation pass and
-	// the derived speedup and parallel-efficiency ratios (empty: suite
-	// skipped).
+	// size with reference and kernel ns per full evaluation pass, their
+	// ratio and the warm-run cost (empty: suite skipped).
 	KernelScaling []bench.ScalingMeasurement `json:"kernelScaling,omitempty"`
 	// Serve holds the serving-layer suite: per-request cost and derived
 	// requests/sec for cached vs uncached scenario requests.

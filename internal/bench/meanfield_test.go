@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
-	"time"
 
 	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
@@ -35,7 +35,9 @@ func TestPhaseCostRatioPairing(t *testing.T) {
 // population's cost is the minimum over interleaved repetitions of a block
 // of runs: a burst of load on the machine inflates only the repetitions it
 // overlaps, not the minimum, and load lasting the whole test slows both
-// populations alike.
+// populations alike. On Linux a block is timed by the CPU clock of the
+// test's thread (elsewhere by wall time), so the slices the thread spends
+// descheduled on a loaded machine do not count.
 func TestCountPhaseCostNearFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive benchmark comparison")
@@ -60,17 +62,19 @@ func TestCountPhaseCostNearFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	const reps, block = 15, 20
 	for r := 0; r < reps; r++ {
 		for k := range ms {
 			i := (k + r) % len(ms) // alternate which population goes first
-			start := time.Now()
+			start := threadTime(t)
 			for b := 0; b < block; b++ {
 				if err := runs[i](); err != nil {
 					t.Fatal(err)
 				}
 			}
-			ns := float64(time.Since(start).Nanoseconds()) / (block * meanfieldPhases)
+			ns := float64((threadTime(t) - start).Nanoseconds()) / (block * meanfieldPhases)
 			ms[i].NsPerPhase = math.Min(ms[i].NsPerPhase, ns)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -17,11 +16,10 @@ import (
 
 // ScalingMeasurement is one size point of the kernelScaling suite: the full
 // evaluation pass (edge flows, edge latencies, path latencies, potential)
-// on a seeded sparse-random instance, measured three ways — the seed's
-// naive reference pipeline, the compiled kernel pinned to one worker, and
-// the kernel at its default parallelism — the cost of one warm one-phase
-// run, plus a Frank–Wolfe equilibrium solve recorded as a cross-check that
-// the instance is well-posed.
+// on a seeded sparse-random instance, measured two ways — the seed's naive
+// reference pipeline and the compiled kernel — the cost of one warm
+// one-phase run, plus a Frank–Wolfe equilibrium solve recorded as a
+// cross-check that the instance is well-posed.
 type ScalingMeasurement struct {
 	// Family and Edges identify the workload; ActualEdges and Paths are the
 	// realised instance shape (the generator hits Edges exactly for
@@ -37,21 +35,13 @@ type ScalingMeasurement struct {
 	// and searching every commodity's k shortest paths (concurrently, on
 	// up to GOMAXPROCS goroutines).
 	BuildNs float64 `json:"buildNs"`
-	// Workers is the parallelism the parallel measurement ran under
-	// (min(GOMAXPROCS, evaluator cap)); 1 on a single-core runner, where
-	// ParallelNs degenerates to SerialNs.
-	Workers int `json:"workers"`
-	// ReferenceNs, SerialNs and ParallelNs are ns per full evaluation pass.
+	// ReferenceNs and SerialNs are ns per full evaluation pass of the
+	// reference pipeline and of the kernel.
 	ReferenceNs float64 `json:"referenceNs"`
 	SerialNs    float64 `json:"serialNs"`
-	ParallelNs  float64 `json:"parallelNs"`
-	// Speedup is ReferenceNs/ParallelNs — the headline "kernel vs seed"
-	// ratio, which must stay >= 1 at every size (the crossover heuristic's
-	// contract). ParSpeedup is SerialNs/ParallelNs and Efficiency is
-	// ParSpeedup/Workers.
-	Speedup    float64 `json:"speedup"`
-	ParSpeedup float64 `json:"parSpeedup"`
-	Efficiency float64 `json:"efficiency"`
+	// Speedup is ReferenceNs/SerialNs — the headline "kernel vs seed"
+	// ratio.
+	Speedup float64 `json:"speedup"`
 	// WarmRunNs and WarmRunBytes are the wall time and heap bytes of one
 	// best-response run of a single phase on a workspace an earlier run on
 	// the same instance warmed: the per-run set-up (driver, board
@@ -66,16 +56,6 @@ type ScalingMeasurement struct {
 	SolverRelGap    float64 `json:"solverRelGap"`
 	SolverPotential float64 `json:"solverPotential"`
 	SolverIters     int     `json:"solverIters"`
-}
-
-// scalingWorkers mirrors the evaluator's default worker choice so the
-// recorded Workers field matches what SetParallelism(0) actually used.
-func scalingWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
 }
 
 // ScalingSuite measures the evaluation kernel across instance sizes (edge
@@ -125,7 +105,6 @@ func scalingPoint(edges int) (ScalingMeasurement, error) {
 		LiveEdges:   liveEdges(inst),
 		Paths:       nP,
 		BuildNs:     buildNs,
-		Workers:     scalingWorkers(),
 	}
 
 	// A mildly uneven flow so the latency evaluation is not all-zeros.
@@ -152,27 +131,14 @@ func scalingPoint(edges int) (ScalingMeasurement, error) {
 		}
 	}).NsPerOp
 
-	evS := flow.NewEvaluator(inst, nil)
-	evS.SetParallelism(1)
+	ev := flow.NewEvaluator(inst, nil)
 	m.SerialNs = measure(fmt.Sprintf("scale/%d/serial", edges), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			evS.Eval(f)
-			_ = evS.Potential()
+			ev.Eval(f)
+			_ = ev.Potential()
 		}
 	}).NsPerOp
-
-	evP := flow.NewEvaluator(inst, nil)
-	evP.SetParallelism(m.Workers)
-	m.ParallelNs = measure(fmt.Sprintf("scale/%d/parallel", edges), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			evP.Eval(f)
-			_ = evP.Potential()
-		}
-	}).NsPerOp
-
-	m.Speedup = m.ReferenceNs / m.ParallelNs
-	m.ParSpeedup = m.SerialNs / m.ParallelNs
-	m.Efficiency = m.ParSpeedup / float64(m.Workers)
+	m.Speedup = m.ReferenceNs / m.SerialNs
 
 	ws := flow.NewWorkspace()
 	warmRun := func() error {

@@ -81,8 +81,8 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 // fewest, over runs calls after warm-up calls, that runtime.MemStats.Mallocs
 // counts around a call. Unlike testing.AllocsPerRun it counts at the
 // process's GOMAXPROCS; AllocsPerRun pins GOMAXPROCS to 1 while it counts,
-// which hides whatever a run sizes from GOMAXPROCS (the evaluator's default
-// worker count, for one). With several Ps the runtime's own pools add
+// which hides whatever a run sizes from GOMAXPROCS (the agents engine's
+// default worker count, for one). With several Ps the runtime's own pools add
 // allocations to some calls and not others: a goroutine descriptor when the
 // spawning P's free list is empty, until enough descriptors circulate
 // between the Ps. That takes longer on a loaded machine, so f warms up

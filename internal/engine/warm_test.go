@@ -28,9 +28,8 @@ import (
 //   - on a Derived sibling, which shares the instance's incidence but is
 //     another instance;
 //   - on the same instance, cancelled at a phase start (the per-agent
-//     engines abandon that phase mid-way), after which SetParallelism(2)
-//     forces the parallel pass on the kept evaluator, and the run must
-//     re-arm it at the default.
+//     engines abandon that phase mid-way), so the run re-arms the
+//     evaluator a cancelled run kept.
 func TestWarmWorkspaceMatchesFresh(t *testing.T) {
 	cases := fenceCases(t)
 	var insts []*flow.Instance
@@ -60,11 +59,7 @@ func TestWarmWorkspaceMatchesFresh(t *testing.T) {
 			{"same", func(ws *flow.Workspace) { warmRun(t, ws, c.inst, c.engine, -1) }},
 			{"other", func(ws *flow.Workspace) { warmRun(t, ws, other, c.engine, -1) }},
 			{"sibling", func(ws *flow.Workspace) { warmRun(t, ws, sibling, c.engine, -1) }},
-			{"cancelled+parallel", func(ws *flow.Workspace) {
-				warmRun(t, ws, c.inst, c.engine, 2)
-				ws.Reset()
-				flow.NewEvaluator(c.inst, ws).SetParallelism(2)
-			}},
+			{"cancelled", func(ws *flow.Workspace) { warmRun(t, ws, c.inst, c.engine, 2) }},
 		}
 		pol := mustReplicator(t, c.inst)
 		ws := flow.NewWorkspace()

@@ -1,11 +1,6 @@
 package flow
 
-import (
-	"runtime"
-	"sync"
-
-	"wardrop/internal/latency"
-)
+import "wardrop/internal/latency"
 
 // This file is the compiled evaluation kernel: the instance's [][]graph.Path
 // strategy sets flattened into CSR incidence arrays, a reusable Workspace
@@ -278,38 +273,6 @@ type Evaluator struct {
 	// them current once materialized, so runs that never ask for the
 	// potential never pay for it.
 	potValid bool
-
-	// Parallel full-pass state. par is the worker count (1 disables);
-	// forcePar bypasses the size crossover so tests can exercise the
-	// parallel kernel on toy instances. The chunk plans are CSR-weight-
-	// balanced boundaries in live-edge and path space (edgeChunks indexes
-	// inc.live), computed once per worker count and reused by every pass,
-	// so parallel phases allocate nothing beyond the goroutine fan-out
-	// itself.
-	par        int
-	forcePar   bool
-	edgeChunks []int32
-	pathChunks []int32
-}
-
-const (
-	// evalParMinWork is the serial/parallel crossover for full passes:
-	// below this total work (incidence entries + live edges) the goroutine
-	// fan-out costs more than it saves — toy catalog instances (the 6×6
-	// grid is a few hundred entries) and large graphs routed over a few
-	// dozen paths stay on the serial path.
-	evalParMinWork = 1 << 14
-	// maxEvalWorkers caps the fan-out; beyond ~8 workers the passes are
-	// memory-bound.
-	maxEvalWorkers = 8
-)
-
-func defaultEvalWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > maxEvalWorkers {
-		n = maxEvalWorkers
-	}
-	return n
 }
 
 // NewEvaluator builds an evaluator for the instance, carving its buffers
@@ -321,9 +284,9 @@ func defaultEvalWorkers() int {
 // instance and the cursor is at that evaluator's slabs — a run on the same
 // instance after a Reset — NewEvaluator re-arms and returns it instead: not
 // evaluated, the potential stale, the live edges back at flow 0 and latency
-// ℓ_e(0), default parallelism. Its dead entries still hold what the build
-// wrote, since no pass writes a dead entry, so the re-armed evaluator is in
-// the state a build leaves at O(live edges) cost and without allocating.
+// ℓ_e(0). Its dead entries still hold what the build wrote, since no pass
+// writes a dead entry, so the re-armed evaluator is in the state a build
+// leaves at O(live edges) cost and without allocating.
 func NewEvaluator(inst *Instance, ws *Workspace) *Evaluator {
 	if ev := ws.rearm(inst); ev != nil {
 		return ev
@@ -346,7 +309,6 @@ func NewEvaluator(inst *Instance, ws *Workspace) *Evaluator {
 		edgeMark: make([]int32, nE),
 		pathMark: make([]int32, nP),
 		touched:  make([]int32, 0, len(inc.live)),
-		par:      defaultEvalWorkers(),
 	}
 	clear(ev.edgeFlow)
 	copy(ev.edgeLat, lat.zeroLat)
@@ -377,107 +339,20 @@ func (w *Workspace) rearm(inst *Instance) *Evaluator {
 	ev.touched = ev.touched[:0]
 	ev.evaluated = false
 	ev.potValid = false
-	ev.par = defaultEvalWorkers()
-	ev.forcePar = false
 	return ev
 }
 
-// SetParallelism overrides the worker count for parallel full passes.
-// workers <= 1 forces the serial path; workers > 1 forces the parallel path
-// with that many workers regardless of the size crossover (differential
-// tests use this to exercise the parallel kernel on small instances).
-// workers == 0 restores the default: min(GOMAXPROCS, 8) workers, engaged
-// only above the crossover threshold, which is also what a workspace's
-// re-arm restores. Parallel and serial passes produce identical bits, so
-// this is a performance knob, never a semantic one.
-func (ev *Evaluator) SetParallelism(workers int) {
-	switch {
-	case workers == 0:
-		ev.par = defaultEvalWorkers()
-		ev.forcePar = false
-	case workers <= 1:
-		ev.par = 1
-		ev.forcePar = false
-	default:
-		ev.par = workers
-		ev.forcePar = true
-	}
-	ev.edgeChunks = nil
-	ev.pathChunks = nil
-}
-
-// parallelEval reports whether a full pass should take the parallel path.
-func (ev *Evaluator) parallelEval() bool {
-	if ev.par <= 1 {
-		return false
-	}
-	return ev.forcePar || len(ev.inc.pathEdges)+len(ev.inc.live) >= evalParMinWork
-}
-
-// ensureChunks builds (or rebuilds after SetParallelism) the cached chunk
-// plans: par+1 boundaries in the live-edge list balanced by reverse-index
-// degree, and in path space balanced by path length.
-func (ev *Evaluator) ensureChunks() {
-	if len(ev.edgeChunks) == ev.par+1 {
-		return
-	}
-	// A dead edge has no paths, so edgeStart at a live edge is the
-	// reverse-index weight of the live edges before it.
-	live := ev.inc.live
-	starts := make([]int32, len(live)+1)
-	for k, e := range live {
-		starts[k] = ev.inc.edgeStart[e]
-	}
-	starts[len(live)] = int32(len(ev.inc.edgePaths))
-	ev.edgeChunks = balanceChunks(starts, ev.par)
-	ev.pathChunks = balanceChunks(ev.inc.pathStart, ev.par)
-}
-
-// edgeRange returns the edge-ID range [first, last+1) a nonempty ascending
-// run of live edges spans; the live program holds no other edge in it.
-func edgeRange(live []int32) (int32, int32) {
-	return live[0], live[len(live)-1] + 1
-}
-
-// balanceChunks splits the rows of a CSR starts array (len(starts)-1 rows,
-// row i weighing starts[i+1]-starts[i]) into parts contiguous chunks of
-// roughly equal total weight, returning parts+1 nondecreasing boundaries.
-func balanceChunks(starts []int32, parts int) []int32 {
-	n := len(starts) - 1
-	total := int64(starts[n])
-	bounds := make([]int32, parts+1)
-	bounds[parts] = int32(n)
-	i := 0
-	for c := 1; c < parts; c++ {
-		target := total * int64(c) / int64(parts)
-		for i < n && int64(starts[i]) < target {
-			i++
-		}
-		bounds[c] = int32(i)
-	}
-	return bounds
-}
+// SetParallelism does nothing: every pass is serial.
+//
+// Deprecated: the evaluator has one pass and no worker count to set.
+func (ev *Evaluator) SetParallelism(workers int) {}
 
 // Instance returns the bound instance.
 func (ev *Evaluator) Instance() *Instance { return ev.inst }
 
 // Eval fully re-evaluates edge flows, edge latencies and path latencies
-// from f. Above the size crossover (and with more than one worker
-// available) the pass runs in parallel over pre-balanced edge and path
-// chunks; below it, serially. Both paths produce identical bits — see
-// evalParallel for the argument — so the crossover is purely a performance
-// decision.
+// from f.
 func (ev *Evaluator) Eval(f Vector) {
-	if ev.parallelEval() {
-		ev.evalParallel(f)
-	} else {
-		ev.evalSerial(f)
-	}
-	ev.evaluated = true
-	ev.potValid = false
-}
-
-func (ev *Evaluator) evalSerial(f Vector) {
 	pathEdges := ev.inc.pathEdges
 	pathStart := ev.inc.pathStart
 	edgeFlow := ev.edgeFlow
@@ -505,69 +380,8 @@ func (ev *Evaluator) evalSerial(f Vector) {
 		}
 		pathLat[g] = sum
 	}
-}
-
-// evalParallel is the chunked full pass. Phase 1 fans out over disjoint
-// runs of live edges: each worker computes its edges' flows by a gather
-// over the reverse index and batch-evaluates their latencies via
-// ValuesRange. Phase 2 (after a barrier — path sums read edge latencies
-// across chunk boundaries) fans out over disjoint path ranges summing path
-// latencies.
-//
-// Bit-identity with evalSerial: the gather iterates edge e's path list in
-// ascending global order skipping zero flows — exactly the per-edge
-// addition sequence the serial forward scatter produces (the invariant the
-// incremental rescan already relies on, pinned by the kernel differential
-// tests); latency evaluation and path sums are per-edge/per-path
-// independent, so chunking cannot reorder anything. No worker writes
-// outside its range and phases are separated by barriers, so the pass is
-// race-free by construction.
-func (ev *Evaluator) evalParallel(f Vector) {
-	ev.ensureChunks()
-	inc := ev.inc
-	var wg sync.WaitGroup
-	for c := 0; c < ev.par; c++ {
-		k0, k1 := ev.edgeChunks[c], ev.edgeChunks[c+1]
-		if k0 == k1 {
-			continue
-		}
-		wg.Add(1)
-		go func(live []int32) {
-			defer wg.Done()
-			edgeFlow := ev.edgeFlow
-			for _, e := range live {
-				sum := 0.0
-				for _, g := range inc.edgePaths[inc.edgeStart[e]:inc.edgeStart[e+1]] {
-					if fp := f[g]; fp != 0 {
-						sum += fp
-					}
-				}
-				edgeFlow[e] = sum
-			}
-			e0, e1 := edgeRange(live)
-			ev.lat.prog.ValuesRange(edgeFlow, ev.edgeLat, e0, e1)
-		}(inc.live[k0:k1])
-	}
-	wg.Wait()
-	for c := 0; c < ev.par; c++ {
-		g0, g1 := ev.pathChunks[c], ev.pathChunks[c+1]
-		if g0 == g1 {
-			continue
-		}
-		wg.Add(1)
-		go func(g0, g1 int32) {
-			defer wg.Done()
-			edgeLat := ev.edgeLat
-			for g := g0; g < g1; g++ {
-				sum := 0.0
-				for _, e := range inc.pathEdges[inc.pathStart[g]:inc.pathStart[g+1]] {
-					sum += edgeLat[e]
-				}
-				ev.pathLat[g] = sum
-			}
-		}(g0, g1)
-	}
-	wg.Wait()
+	ev.evaluated = true
+	ev.potValid = false
 }
 
 // ApplyDelta moves amount flow from global path p to global path q
@@ -586,10 +400,9 @@ func (ev *Evaluator) ApplyDelta(f Vector, p, q int, amount float64) {
 // Eval. Refresh gates itself by estimated cost: when the rescan the change
 // implies (precomputed per-path as pathWork) approaches the cost of a full
 // pass, it falls back to Eval — which batches latency evaluation, visits
-// only the live edges and parallelizes above the crossover, and produces
-// identical bits — so a move
-// through a bottleneck edge shared by most paths never does more work than
-// a full evaluation.
+// only the live edges and produces identical bits — so a move through a
+// bottleneck edge shared by most paths never does more work than a full
+// evaluation.
 func (ev *Evaluator) Refresh(f Vector, changed ...int) {
 	if !ev.evaluated {
 		ev.Eval(f)
@@ -709,25 +522,7 @@ func (ev *Evaluator) PathLatencies() []float64 { return ev.pathLat }
 // sequence less its ±0 terms, which cannot change the sum (see phiEdges).
 func (ev *Evaluator) Potential() float64 {
 	if !ev.potValid {
-		if ev.parallelEval() {
-			ev.ensureChunks()
-			var wg sync.WaitGroup
-			for c := 0; c < ev.par; c++ {
-				k0, k1 := ev.edgeChunks[c], ev.edgeChunks[c+1]
-				if k0 == k1 {
-					continue
-				}
-				wg.Add(1)
-				go func(live []int32) {
-					defer wg.Done()
-					e0, e1 := edgeRange(live)
-					ev.lat.prog.IntegralsRange(ev.edgeFlow, ev.edgeInt, e0, e1)
-				}(ev.inc.live[k0:k1])
-			}
-			wg.Wait()
-		} else {
-			ev.lat.prog.Integrals(ev.edgeFlow, ev.edgeInt)
-		}
+		ev.lat.prog.Integrals(ev.edgeFlow, ev.edgeInt)
 		ev.potValid = true
 	}
 	phi := 0.0

@@ -116,6 +116,34 @@ func kernelInstances(t testing.TB) map[string]*flow.Instance {
 	}
 }
 
+// largeInstances builds one 10⁴-edge instance per large family (k-shortest
+// path strategy sets keep enumeration tractable at this size).
+func largeInstances(t testing.TB) map[string]*flow.Instance {
+	t.Helper()
+	sparse, err := topo.SparseRandom(10000, 4, 4, 6, 0xabc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale, err := topo.ScaleFree(10000, 3, 4, 6, 0xdef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*flow.Instance{
+		"sparse-random/10k": sparse,
+		"scalefree/10k":     scale,
+	}
+}
+
+// differentialInstances is the topology zoo plus the large families.
+func differentialInstances(t testing.TB) map[string]*flow.Instance {
+	t.Helper()
+	insts := kernelInstances(t)
+	for name, inst := range largeInstances(t) {
+		insts[name] = inst
+	}
+	return insts
+}
+
 // reference computes every kernel quantity through the naive methods.
 func reference(inst *flow.Instance, f flow.Vector) (fe, le, pl []float64, phi float64) {
 	fe = inst.EdgeFlows(f, nil)
@@ -153,8 +181,16 @@ func mustEqualBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+func mustEqualScalarBits(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: got %v (%#x), want %v (%#x)",
+			what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
 func TestEvaluatorFullMatchesReference(t *testing.T) {
-	for name, inst := range kernelInstances(t) {
+	for name, inst := range differentialInstances(t) {
 		t.Run(name, func(t *testing.T) {
 			rng := &topo.SplitMix{State: 1}
 			ev := flow.NewEvaluator(inst, nil)
@@ -174,7 +210,7 @@ func TestEvaluatorFullMatchesReference(t *testing.T) {
 }
 
 func TestEvaluatorIncrementalMatchesReference(t *testing.T) {
-	for name, inst := range kernelInstances(t) {
+	for name, inst := range differentialInstances(t) {
 		t.Run(name, func(t *testing.T) {
 			rng := &topo.SplitMix{State: 7}
 			ev := flow.NewEvaluator(inst, nil)
@@ -228,6 +264,31 @@ func TestEvaluatorUpdateFallback(t *testing.T) {
 	mustEqualBits(t, "path latencies", ev.PathLatencies(), pl)
 	if math.Float64bits(ev.Potential()) != math.Float64bits(phi) {
 		t.Fatalf("potential: got %v, want %v", ev.Potential(), phi)
+	}
+}
+
+// TestRefreshCostGateFallsBackBitIdentically changes every path at once:
+// the Refresh cost gate must take the full-Eval fallback and still produce
+// exactly the bits an incremental-only evaluator would have.
+func TestRefreshCostGateFallsBackBitIdentically(t *testing.T) {
+	for name, inst := range kernelInstances(t) {
+		t.Run(name, func(t *testing.T) {
+			rng := &topo.SplitMix{State: 3}
+			ev := flow.NewEvaluator(inst, nil)
+			f := randomFlow(inst, rng)
+			ev.Eval(f)
+			changed := make([]int, inst.NumPaths())
+			for g := range changed {
+				changed[g] = g
+				f[g] = rng.Float64()
+			}
+			ev.Refresh(f, changed...)
+			fe, le, pl, phi := reference(inst, f)
+			mustEqualBits(t, "edge flows", ev.EdgeFlows(), fe)
+			mustEqualBits(t, "edge latencies", ev.EdgeLatencies(), le)
+			mustEqualBits(t, "path latencies", ev.PathLatencies(), pl)
+			mustEqualScalarBits(t, "potential", ev.Potential(), phi)
+		})
 	}
 }
 

@@ -6,8 +6,7 @@ package flow_test
 // dead edges whose latency or potential term at zero flow is nonzero or
 // −0, a workspace dirtied by another instance, and a derived instance —
 // Eval, Refresh (incremental and fallback) and Potential must still match
-// the naive reference bit for bit over the full edge vectors, serial and
-// forced-parallel.
+// the naive reference bit for bit over the full edge vectors.
 
 import (
 	"fmt"
@@ -188,45 +187,42 @@ func mustMatchReference(t *testing.T, what string, ev *flow.Evaluator, inst *flo
 
 func TestLiveEdgePassesMatchReference(t *testing.T) {
 	for name, inst := range liveEdgeInstances(t) {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				rng := &topo.SplitMix{State: 17}
-				ev := flow.NewEvaluator(inst, nil)
-				ev.SetParallelism(workers)
-				for trial := 0; trial < 5; trial++ {
-					f := randomFlow(inst, rng)
-					ev.Eval(f)
-					mustMatchReference(t, fmt.Sprintf("eval %d", trial), ev, inst, f)
-				}
-
-				// Incremental: sparse within-commodity moves, some draining
-				// a path to exactly zero; Potential is live throughout, so
-				// Refresh keeps the integral terms current as well.
-				f := inst.UniformFlow()
+		t.Run(name, func(t *testing.T) {
+			rng := &topo.SplitMix{State: 17}
+			ev := flow.NewEvaluator(inst, nil)
+			for trial := 0; trial < 5; trial++ {
+				f := randomFlow(inst, rng)
 				ev.Eval(f)
-				for step := 0; step < 60; step++ {
-					i := int(rng.Next() % uint64(inst.NumCommodities()))
-					lo, hi := inst.CommodityRange(i)
-					p := lo + int(rng.Next()%uint64(hi-lo))
-					q := lo + int(rng.Next()%uint64(hi-lo))
-					amount := rng.Float64() * f[p]
-					if rng.Next()%8 == 0 {
-						amount = f[p]
-					}
-					ev.ApplyDelta(f, p, q, amount)
-					mustMatchReference(t, fmt.Sprintf("delta %d", step), ev, inst, f)
-				}
+				mustMatchReference(t, fmt.Sprintf("eval %d", trial), ev, inst, f)
+			}
 
-				// Fallback: every path changes at once.
-				changed := make([]int, inst.NumPaths())
-				for g := range changed {
-					changed[g] = g
-					f[g] = rng.Float64()
+			// Incremental: sparse within-commodity moves, some draining
+			// a path to exactly zero; Potential is live throughout, so
+			// Refresh keeps the integral terms current as well.
+			f := inst.UniformFlow()
+			ev.Eval(f)
+			for step := 0; step < 60; step++ {
+				i := int(rng.Next() % uint64(inst.NumCommodities()))
+				lo, hi := inst.CommodityRange(i)
+				p := lo + int(rng.Next()%uint64(hi-lo))
+				q := lo + int(rng.Next()%uint64(hi-lo))
+				amount := rng.Float64() * f[p]
+				if rng.Next()%8 == 0 {
+					amount = f[p]
 				}
-				ev.Refresh(f, changed...)
-				mustMatchReference(t, "fallback", ev, inst, f)
-			})
-		}
+				ev.ApplyDelta(f, p, q, amount)
+				mustMatchReference(t, fmt.Sprintf("delta %d", step), ev, inst, f)
+			}
+
+			// Fallback: every path changes at once.
+			changed := make([]int, inst.NumPaths())
+			for g := range changed {
+				changed[g] = g
+				f[g] = rng.Float64()
+			}
+			ev.Refresh(f, changed...)
+			mustMatchReference(t, "fallback", ev, inst, f)
+		})
 	}
 }
 
@@ -237,31 +233,28 @@ func TestLiveEdgePassesMatchReference(t *testing.T) {
 func TestLiveEdgeStaleWorkspace(t *testing.T) {
 	dense := mixedGrid(t, 6)
 	for name, inst := range liveEdgeInstances(t) {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				ws := flow.NewWorkspace()
-				prev := flow.NewEvaluator(dense, ws)
-				prev.Eval(dense.UniformFlow())
-				prev.Potential()
+		t.Run(name, func(t *testing.T) {
+			ws := flow.NewWorkspace()
+			prev := flow.NewEvaluator(dense, ws)
+			prev.Eval(dense.UniformFlow())
+			prev.Potential()
 
-				ws.Reset()
-				ev := flow.NewEvaluator(inst, ws)
-				ev.SetParallelism(workers)
-				rng := &topo.SplitMix{State: 23}
-				f := randomFlow(inst, rng)
-				ev.Eval(f)
-				mustMatchReference(t, "first eval", ev, inst, f)
-				g := randomFlow(inst, rng)
-				changed := make([]int, 0, len(g))
-				for p := range g {
-					if g[p] != f[p] {
-						changed = append(changed, p)
-					}
+			ws.Reset()
+			ev := flow.NewEvaluator(inst, ws)
+			rng := &topo.SplitMix{State: 23}
+			f := randomFlow(inst, rng)
+			ev.Eval(f)
+			mustMatchReference(t, "first eval", ev, inst, f)
+			g := randomFlow(inst, rng)
+			changed := make([]int, 0, len(g))
+			for p := range g {
+				if g[p] != f[p] {
+					changed = append(changed, p)
 				}
-				ev.Refresh(g, changed...)
-				mustMatchReference(t, "refresh", ev, inst, g)
-			})
-		}
+			}
+			ev.Refresh(g, changed...)
+			mustMatchReference(t, "refresh", ev, inst, g)
+		})
 	}
 }
 
@@ -289,85 +282,80 @@ func TestLiveEdgeDeadTermsOrder(t *testing.T) {
 // or a Floats call that reached those slabs each get a new evaluator.
 func TestLiveEdgeRearmedEvaluator(t *testing.T) {
 	for name, inst := range liveEdgeInstances(t) {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				rng := &topo.SplitMix{State: 31}
-				ws := flow.NewWorkspace()
-				ev := flow.NewEvaluator(inst, ws)
-				ev.SetParallelism(workers)
-				// dirty runs every kind of pass on ev and returns the flow
-				// it was left on.
-				dirty := func(ev *flow.Evaluator) flow.Vector {
-					f, g := randomFlow(inst, rng), randomFlow(inst, rng)
-					ev.Eval(f)
-					ev.Potential()
-					changed := make([]int, 0, len(g))
-					for p := range g {
-						if g[p] != f[p] {
-							changed = append(changed, p)
-						}
-					}
-					ev.Refresh(g, changed...)
-					mustMatchReference(t, "dirty", ev, inst, g)
-					return g
-				}
-				dirty(ev)
-
-				ws.Reset()
-				re := flow.NewEvaluator(inst, ws)
-				if re != ev {
-					t.Fatal("a run on the same instance did not re-arm the kept evaluator")
-				}
-				built := flow.NewEvaluator(inst, nil)
-				mustEqualBits(t, "re-armed edge flows", re.EdgeFlows(), built.EdgeFlows())
-				mustEqualBits(t, "re-armed edge latencies", re.EdgeLatencies(), built.EdgeLatencies())
-				re.SetParallelism(workers)
-				h := randomFlow(inst, rng)
-				re.Refresh(h, 0)
-				mustMatchReference(t, "first refresh after re-arm", re, inst, h)
-				g := dirty(re)
-
-				// Without a Reset the kept evaluator is still in use.
-				if next := flow.NewEvaluator(inst, ws); next == re {
-					t.Fatal("the kept evaluator was handed out twice in one run")
-				}
-				mustMatchReference(t, "kept evaluator after a second build", re, inst, g)
-
-				if flow.NewEvaluator(inst, nil) == flow.NewEvaluator(inst, nil) {
-					t.Fatal("a nil workspace returned one evaluator twice")
-				}
-
-				// A caller that took the kept evaluator's slabs may have
-				// overwritten its dead entries: the next run must build.
-				ws.Reset()
-				last := flow.NewEvaluator(inst, ws)
-				ws.Reset()
-				for _, n := range []int{len(last.EdgeFlows()), len(last.EdgeLatencies())} {
-					buf := ws.Floats(n)
-					for i := range buf {
-						buf[i] = math.NaN()
+		t.Run(name, func(t *testing.T) {
+			rng := &topo.SplitMix{State: 31}
+			ws := flow.NewWorkspace()
+			ev := flow.NewEvaluator(inst, ws)
+			// dirty runs every kind of pass on ev and returns the flow
+			// it was left on.
+			dirty := func(ev *flow.Evaluator) flow.Vector {
+				f, g := randomFlow(inst, rng), randomFlow(inst, rng)
+				ev.Eval(f)
+				ev.Potential()
+				changed := make([]int, 0, len(g))
+				for p := range g {
+					if g[p] != f[p] {
+						changed = append(changed, p)
 					}
 				}
-				ws.Reset()
-				if rebuilt := flow.NewEvaluator(inst, ws); rebuilt == last {
-					t.Fatal("an evaluator whose slabs were handed out was re-armed")
-				} else {
-					rebuilt.SetParallelism(workers)
-					rebuilt.Eval(h)
-					mustMatchReference(t, "rebuilt over handed-out slabs", rebuilt, inst, h)
-				}
+				ev.Refresh(g, changed...)
+				mustMatchReference(t, "dirty", ev, inst, g)
+				return g
+			}
+			dirty(ev)
 
-				if testing.Short() {
-					return
+			ws.Reset()
+			re := flow.NewEvaluator(inst, ws)
+			if re != ev {
+				t.Fatal("a run on the same instance did not re-arm the kept evaluator")
+			}
+			built := flow.NewEvaluator(inst, nil)
+			mustEqualBits(t, "re-armed edge flows", re.EdgeFlows(), built.EdgeFlows())
+			mustEqualBits(t, "re-armed edge latencies", re.EdgeLatencies(), built.EdgeLatencies())
+			h := randomFlow(inst, rng)
+			re.Refresh(h, 0)
+			mustMatchReference(t, "first refresh after re-arm", re, inst, h)
+			g := dirty(re)
+
+			// Without a Reset the kept evaluator is still in use.
+			if next := flow.NewEvaluator(inst, ws); next == re {
+				t.Fatal("the kept evaluator was handed out twice in one run")
+			}
+			mustMatchReference(t, "kept evaluator after a second build", re, inst, g)
+
+			if flow.NewEvaluator(inst, nil) == flow.NewEvaluator(inst, nil) {
+				t.Fatal("a nil workspace returned one evaluator twice")
+			}
+
+			// A caller that took the kept evaluator's slabs may have
+			// overwritten its dead entries: the next run must build.
+			ws.Reset()
+			last := flow.NewEvaluator(inst, ws)
+			ws.Reset()
+			for _, n := range []int{len(last.EdgeFlows()), len(last.EdgeLatencies())} {
+				buf := ws.Floats(n)
+				for i := range buf {
+					buf[i] = math.NaN()
 				}
-				if n := testing.AllocsPerRun(10, func() {
-					ws.Reset()
-					flow.NewEvaluator(inst, ws)
-				}); n != 0 {
-					t.Fatalf("re-arming allocates %g times", n)
-				}
-			})
-		}
+			}
+			ws.Reset()
+			if rebuilt := flow.NewEvaluator(inst, ws); rebuilt == last {
+				t.Fatal("an evaluator whose slabs were handed out was re-armed")
+			} else {
+				rebuilt.Eval(h)
+				mustMatchReference(t, "rebuilt over handed-out slabs", rebuilt, inst, h)
+			}
+
+			if testing.Short() {
+				return
+			}
+			if n := testing.AllocsPerRun(10, func() {
+				ws.Reset()
+				flow.NewEvaluator(inst, ws)
+			}); n != 0 {
+				t.Fatalf("re-arming allocates %g times", n)
+			}
+		})
 	}
 }
 

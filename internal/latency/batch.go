@@ -1,7 +1,5 @@
 package latency
 
-import "sort"
-
 // Program is a compiled batch evaluator over a fixed slice of latency
 // functions, indexed by edge — all of them (Compile) or a listed subset
 // (CompileEdges). The compile groups the edges by concrete function
@@ -149,76 +147,6 @@ func (p *Program) Values(flows, out []float64) {
 	for k, e := range p.genIdx {
 		out[e] = p.gens[k].Value(flows[e])
 	}
-}
-
-// ValuesRange writes out[e] = ℓ_e(flows[e]) for every compiled edge e in
-// [e0, e1). Edges outside the range are untouched, so disjoint ranges may be
-// evaluated concurrently into the same output slice: each group's index
-// array is ascending (the compile appends in edge order), every compiled
-// edge belongs to exactly one group, and each out[e] is written by the same
-// concrete method call Values would use — a range decomposition of Values
-// changes no bits.
-func (p *Program) ValuesRange(flows, out []float64, e0, e1 int32) {
-	for k, n := groupRange(p.constIdx, e0, e1); k < n; k++ {
-		out[p.constIdx[k]] = p.consts[k].Value(flows[p.constIdx[k]])
-	}
-	for k, n := groupRange(p.linIdx, e0, e1); k < n; k++ {
-		out[p.linIdx[k]] = p.lins[k].Value(flows[p.linIdx[k]])
-	}
-	for k, n := groupRange(p.polyIdx, e0, e1); k < n; k++ {
-		out[p.polyIdx[k]] = p.polys[k].Value(flows[p.polyIdx[k]])
-	}
-	for k, n := groupRange(p.monoIdx, e0, e1); k < n; k++ {
-		out[p.monoIdx[k]] = p.monos[k].Value(flows[p.monoIdx[k]])
-	}
-	for k, n := groupRange(p.bprIdx, e0, e1); k < n; k++ {
-		out[p.bprIdx[k]] = p.bprs[k].Value(flows[p.bprIdx[k]])
-	}
-	for k, n := groupRange(p.mm1Idx, e0, e1); k < n; k++ {
-		out[p.mm1Idx[k]] = p.mm1s[k].Value(flows[p.mm1Idx[k]])
-	}
-	for k, n := groupRange(p.pwlIdx, e0, e1); k < n; k++ {
-		out[p.pwlIdx[k]] = p.pwls[k].Value(flows[p.pwlIdx[k]])
-	}
-	for k, n := groupRange(p.genIdx, e0, e1); k < n; k++ {
-		out[p.genIdx[k]] = p.gens[k].Value(flows[p.genIdx[k]])
-	}
-}
-
-// IntegralsRange is ValuesRange for the per-edge potential terms.
-func (p *Program) IntegralsRange(flows, out []float64, e0, e1 int32) {
-	for k, n := groupRange(p.constIdx, e0, e1); k < n; k++ {
-		out[p.constIdx[k]] = p.consts[k].Integral(flows[p.constIdx[k]])
-	}
-	for k, n := groupRange(p.linIdx, e0, e1); k < n; k++ {
-		out[p.linIdx[k]] = p.lins[k].Integral(flows[p.linIdx[k]])
-	}
-	for k, n := groupRange(p.polyIdx, e0, e1); k < n; k++ {
-		out[p.polyIdx[k]] = p.polys[k].Integral(flows[p.polyIdx[k]])
-	}
-	for k, n := groupRange(p.monoIdx, e0, e1); k < n; k++ {
-		out[p.monoIdx[k]] = p.monos[k].Integral(flows[p.monoIdx[k]])
-	}
-	for k, n := groupRange(p.bprIdx, e0, e1); k < n; k++ {
-		out[p.bprIdx[k]] = p.bprs[k].Integral(flows[p.bprIdx[k]])
-	}
-	for k, n := groupRange(p.mm1Idx, e0, e1); k < n; k++ {
-		out[p.mm1Idx[k]] = p.mm1s[k].Integral(flows[p.mm1Idx[k]])
-	}
-	for k, n := groupRange(p.pwlIdx, e0, e1); k < n; k++ {
-		out[p.pwlIdx[k]] = p.pwls[k].Integral(flows[p.pwlIdx[k]])
-	}
-	for k, n := groupRange(p.genIdx, e0, e1); k < n; k++ {
-		out[p.genIdx[k]] = p.gens[k].Integral(flows[p.genIdx[k]])
-	}
-}
-
-// groupRange returns the position range [k, n) of idx whose edge IDs fall
-// in [e0, e1), exploiting that idx is ascending.
-func groupRange(idx []int32, e0, e1 int32) (int, int) {
-	lo := sort.Search(len(idx), func(i int) bool { return idx[i] >= e0 })
-	hi := lo + sort.Search(len(idx)-lo, func(i int) bool { return idx[lo+i] >= e1 })
-	return lo, hi
 }
 
 // Integrals writes out[e] = ∫₀^{flows[e]} ℓ_e(u) du for every compiled

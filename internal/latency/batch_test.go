@@ -67,88 +67,10 @@ func TestProgramMatchesInterface(t *testing.T) {
 	}
 }
 
-// TestProgramRangeDecomposition pins ValuesRange/IntegralsRange to the
-// whole-slice methods: any partition of [0, n) into ranges — including
-// empty, single-edge and unbalanced cuts — must fill the output with
-// exactly the bits Values/Integrals produce, and must never write outside
-// its range. This is the contract the parallel evaluator's disjoint edge
-// chunks rely on.
-func TestProgramRangeDecomposition(t *testing.T) {
-	poly, err := NewPolynomial(0.2, 0, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bpr, err := NewBPR(1, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fns := make([]Function, 37)
-	kinds := []Function{
-		Constant{C: 0.3},
-		Linear{Slope: 2, Offset: 0.1},
-		poly,
-		Monomial{Coef: 1.2, Degree: 4},
-		bpr,
-		Kink(3),
-		Scaled{F: Linear{Slope: 1}, Factor: 2},
-	}
-	for i := range fns {
-		fns[i] = kinds[i%len(kinds)]
-	}
-	prog := Compile(fns)
-	n := int32(len(fns))
-	flows := make([]float64, n)
-	for e := range flows {
-		flows[e] = float64(e) / float64(n)
-	}
-	wantV := make([]float64, n)
-	wantI := make([]float64, n)
-	prog.Values(flows, wantV)
-	prog.Integrals(flows, wantI)
-	cuts := [][]int32{
-		{0, n},
-		{0, 1, n},
-		{0, n / 3, n / 3, 2*n/3 + 1, n},
-		{0, 5, 6, 7, 8, 9, 10, n - 1, n},
-	}
-	for _, bounds := range cuts {
-		gotV := make([]float64, n)
-		gotI := make([]float64, n)
-		sentinel := math.Inf(-1)
-		for e := range gotV {
-			gotV[e] = sentinel
-			gotI[e] = sentinel
-		}
-		for c := 0; c+1 < len(bounds); c++ {
-			prog.ValuesRange(flows, gotV, bounds[c], bounds[c+1])
-			prog.IntegralsRange(flows, gotI, bounds[c], bounds[c+1])
-		}
-		for e := range gotV {
-			if math.Float64bits(gotV[e]) != math.Float64bits(wantV[e]) {
-				t.Fatalf("cuts %v: ValuesRange[%d] = %v, want %v", bounds, e, gotV[e], wantV[e])
-			}
-			if math.Float64bits(gotI[e]) != math.Float64bits(wantI[e]) {
-				t.Fatalf("cuts %v: IntegralsRange[%d] = %v, want %v", bounds, e, gotI[e], wantI[e])
-			}
-		}
-		// A range must leave edges outside it untouched.
-		outside := make([]float64, n)
-		for e := range outside {
-			outside[e] = sentinel
-		}
-		prog.ValuesRange(flows, outside, 3, 9)
-		for e := int32(0); e < n; e++ {
-			if (e < 3 || e >= 9) && outside[e] != sentinel {
-				t.Fatalf("ValuesRange(3,9) wrote outside its range at edge %d", e)
-			}
-		}
-	}
-}
-
 // TestCompileEdgesSubset pins the subset compile the flow kernel's
-// live-edge program uses: Values, Integrals and their range forms write
-// exactly the listed edges, with the bits the whole program writes there,
-// and leave every other entry alone.
+// live-edge program uses: Values and Integrals write exactly the listed
+// edges, with the bits the whole program writes there, and leave every
+// other entry alone.
 func TestCompileEdgesSubset(t *testing.T) {
 	bpr, err := NewBPR(1, 0.7)
 	if err != nil {
@@ -215,11 +137,4 @@ func TestCompileEdgesSubset(t *testing.T) {
 	sub.Integrals(flows, gotI)
 	check("Values", gotV, wantV)
 	check("Integrals", gotI, wantI)
-	gotV, gotI = fresh(), fresh()
-	for _, cut := range [][2]int32{{0, 3}, {3, 14}, {14, 29}} {
-		sub.ValuesRange(flows, gotV, cut[0], cut[1])
-		sub.IntegralsRange(flows, gotI, cut[0], cut[1])
-	}
-	check("ValuesRange", gotV, wantV)
-	check("IntegralsRange", gotI, wantI)
 }
