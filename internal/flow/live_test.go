@@ -6,7 +6,8 @@ package flow_test
 // dead edges whose latency or potential term at zero flow is nonzero or
 // −0, a workspace dirtied by another instance, and a derived instance —
 // Eval, Refresh (incremental and fallback) and Potential must still match
-// the naive reference bit for bit over the full edge vectors.
+// the naive reference bit for bit over the full edge vectors, on one
+// evaluator and on several running at once over the shared instance.
 
 import (
 	"fmt"
@@ -185,44 +186,65 @@ func mustMatchReference(t *testing.T, what string, ev *flow.Evaluator, inst *flo
 	mustEqualScalarBits(t, what+": potential", ev.Potential(), phi)
 }
 
+// onWorkers runs body once per worker, all at once: each worker is a
+// parallel subtest that builds its own evaluators and workspaces over the
+// test's shared instances, the way a sweep's workers run tasks on one
+// cached instance. A lone worker runs body in t itself.
+func onWorkers(t *testing.T, workers int, body func(t *testing.T)) {
+	if workers == 1 {
+		body(t)
+		return
+	}
+	for w := range workers {
+		t.Run(fmt.Sprint("worker", w), func(t *testing.T) {
+			t.Parallel()
+			body(t)
+		})
+	}
+}
+
 func TestLiveEdgePassesMatchReference(t *testing.T) {
 	for name, inst := range liveEdgeInstances(t) {
-		t.Run(name, func(t *testing.T) {
-			rng := &topo.SplitMix{State: 17}
-			ev := flow.NewEvaluator(inst, nil)
-			for trial := 0; trial < 5; trial++ {
-				f := randomFlow(inst, rng)
-				ev.Eval(f)
-				mustMatchReference(t, fmt.Sprintf("eval %d", trial), ev, inst, f)
-			}
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				onWorkers(t, workers, func(t *testing.T) {
+					rng := &topo.SplitMix{State: 17}
+					ev := flow.NewEvaluator(inst, nil)
+					for trial := 0; trial < 5; trial++ {
+						f := randomFlow(inst, rng)
+						ev.Eval(f)
+						mustMatchReference(t, fmt.Sprintf("eval %d", trial), ev, inst, f)
+					}
 
-			// Incremental: sparse within-commodity moves, some draining
-			// a path to exactly zero; Potential is live throughout, so
-			// Refresh keeps the integral terms current as well.
-			f := inst.UniformFlow()
-			ev.Eval(f)
-			for step := 0; step < 60; step++ {
-				i := int(rng.Next() % uint64(inst.NumCommodities()))
-				lo, hi := inst.CommodityRange(i)
-				p := lo + int(rng.Next()%uint64(hi-lo))
-				q := lo + int(rng.Next()%uint64(hi-lo))
-				amount := rng.Float64() * f[p]
-				if rng.Next()%8 == 0 {
-					amount = f[p]
-				}
-				ev.ApplyDelta(f, p, q, amount)
-				mustMatchReference(t, fmt.Sprintf("delta %d", step), ev, inst, f)
-			}
+					// Incremental: sparse within-commodity moves, some draining
+					// a path to exactly zero; Potential is live throughout, so
+					// Refresh keeps the integral terms current as well.
+					f := inst.UniformFlow()
+					ev.Eval(f)
+					for step := 0; step < 60; step++ {
+						i := int(rng.Next() % uint64(inst.NumCommodities()))
+						lo, hi := inst.CommodityRange(i)
+						p := lo + int(rng.Next()%uint64(hi-lo))
+						q := lo + int(rng.Next()%uint64(hi-lo))
+						amount := rng.Float64() * f[p]
+						if rng.Next()%8 == 0 {
+							amount = f[p]
+						}
+						ev.ApplyDelta(f, p, q, amount)
+						mustMatchReference(t, fmt.Sprintf("delta %d", step), ev, inst, f)
+					}
 
-			// Fallback: every path changes at once.
-			changed := make([]int, inst.NumPaths())
-			for g := range changed {
-				changed[g] = g
-				f[g] = rng.Float64()
-			}
-			ev.Refresh(f, changed...)
-			mustMatchReference(t, "fallback", ev, inst, f)
-		})
+					// Fallback: every path changes at once.
+					changed := make([]int, inst.NumPaths())
+					for g := range changed {
+						changed[g] = g
+						f[g] = rng.Float64()
+					}
+					ev.Refresh(f, changed...)
+					mustMatchReference(t, "fallback", ev, inst, f)
+				})
+			})
+		}
 	}
 }
 
@@ -233,28 +255,32 @@ func TestLiveEdgePassesMatchReference(t *testing.T) {
 func TestLiveEdgeStaleWorkspace(t *testing.T) {
 	dense := mixedGrid(t, 6)
 	for name, inst := range liveEdgeInstances(t) {
-		t.Run(name, func(t *testing.T) {
-			ws := flow.NewWorkspace()
-			prev := flow.NewEvaluator(dense, ws)
-			prev.Eval(dense.UniformFlow())
-			prev.Potential()
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				onWorkers(t, workers, func(t *testing.T) {
+					ws := flow.NewWorkspace()
+					prev := flow.NewEvaluator(dense, ws)
+					prev.Eval(dense.UniformFlow())
+					prev.Potential()
 
-			ws.Reset()
-			ev := flow.NewEvaluator(inst, ws)
-			rng := &topo.SplitMix{State: 23}
-			f := randomFlow(inst, rng)
-			ev.Eval(f)
-			mustMatchReference(t, "first eval", ev, inst, f)
-			g := randomFlow(inst, rng)
-			changed := make([]int, 0, len(g))
-			for p := range g {
-				if g[p] != f[p] {
-					changed = append(changed, p)
-				}
-			}
-			ev.Refresh(g, changed...)
-			mustMatchReference(t, "refresh", ev, inst, g)
-		})
+					ws.Reset()
+					ev := flow.NewEvaluator(inst, ws)
+					rng := &topo.SplitMix{State: 23}
+					f := randomFlow(inst, rng)
+					ev.Eval(f)
+					mustMatchReference(t, "first eval", ev, inst, f)
+					g := randomFlow(inst, rng)
+					changed := make([]int, 0, len(g))
+					for p := range g {
+						if g[p] != f[p] {
+							changed = append(changed, p)
+						}
+					}
+					ev.Refresh(g, changed...)
+					mustMatchReference(t, "refresh", ev, inst, g)
+				})
+			})
+		}
 	}
 }
 
@@ -282,80 +308,86 @@ func TestLiveEdgeDeadTermsOrder(t *testing.T) {
 // or a Floats call that reached those slabs each get a new evaluator.
 func TestLiveEdgeRearmedEvaluator(t *testing.T) {
 	for name, inst := range liveEdgeInstances(t) {
-		t.Run(name, func(t *testing.T) {
-			rng := &topo.SplitMix{State: 31}
-			ws := flow.NewWorkspace()
-			ev := flow.NewEvaluator(inst, ws)
-			// dirty runs every kind of pass on ev and returns the flow
-			// it was left on.
-			dirty := func(ev *flow.Evaluator) flow.Vector {
-				f, g := randomFlow(inst, rng), randomFlow(inst, rng)
-				ev.Eval(f)
-				ev.Potential()
-				changed := make([]int, 0, len(g))
-				for p := range g {
-					if g[p] != f[p] {
-						changed = append(changed, p)
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				onWorkers(t, workers, func(t *testing.T) {
+					rng := &topo.SplitMix{State: 31}
+					ws := flow.NewWorkspace()
+					ev := flow.NewEvaluator(inst, ws)
+					// dirty runs every kind of pass on ev and returns the flow
+					// it was left on.
+					dirty := func(ev *flow.Evaluator) flow.Vector {
+						f, g := randomFlow(inst, rng), randomFlow(inst, rng)
+						ev.Eval(f)
+						ev.Potential()
+						changed := make([]int, 0, len(g))
+						for p := range g {
+							if g[p] != f[p] {
+								changed = append(changed, p)
+							}
+						}
+						ev.Refresh(g, changed...)
+						mustMatchReference(t, "dirty", ev, inst, g)
+						return g
 					}
-				}
-				ev.Refresh(g, changed...)
-				mustMatchReference(t, "dirty", ev, inst, g)
-				return g
-			}
-			dirty(ev)
+					dirty(ev)
 
-			ws.Reset()
-			re := flow.NewEvaluator(inst, ws)
-			if re != ev {
-				t.Fatal("a run on the same instance did not re-arm the kept evaluator")
-			}
-			built := flow.NewEvaluator(inst, nil)
-			mustEqualBits(t, "re-armed edge flows", re.EdgeFlows(), built.EdgeFlows())
-			mustEqualBits(t, "re-armed edge latencies", re.EdgeLatencies(), built.EdgeLatencies())
-			h := randomFlow(inst, rng)
-			re.Refresh(h, 0)
-			mustMatchReference(t, "first refresh after re-arm", re, inst, h)
-			g := dirty(re)
+					ws.Reset()
+					re := flow.NewEvaluator(inst, ws)
+					if re != ev {
+						t.Fatal("a run on the same instance did not re-arm the kept evaluator")
+					}
+					built := flow.NewEvaluator(inst, nil)
+					mustEqualBits(t, "re-armed edge flows", re.EdgeFlows(), built.EdgeFlows())
+					mustEqualBits(t, "re-armed edge latencies", re.EdgeLatencies(), built.EdgeLatencies())
+					h := randomFlow(inst, rng)
+					re.Refresh(h, 0)
+					mustMatchReference(t, "first refresh after re-arm", re, inst, h)
+					g := dirty(re)
 
-			// Without a Reset the kept evaluator is still in use.
-			if next := flow.NewEvaluator(inst, ws); next == re {
-				t.Fatal("the kept evaluator was handed out twice in one run")
-			}
-			mustMatchReference(t, "kept evaluator after a second build", re, inst, g)
+					// Without a Reset the kept evaluator is still in use.
+					if next := flow.NewEvaluator(inst, ws); next == re {
+						t.Fatal("the kept evaluator was handed out twice in one run")
+					}
+					mustMatchReference(t, "kept evaluator after a second build", re, inst, g)
 
-			if flow.NewEvaluator(inst, nil) == flow.NewEvaluator(inst, nil) {
-				t.Fatal("a nil workspace returned one evaluator twice")
-			}
+					if flow.NewEvaluator(inst, nil) == flow.NewEvaluator(inst, nil) {
+						t.Fatal("a nil workspace returned one evaluator twice")
+					}
 
-			// A caller that took the kept evaluator's slabs may have
-			// overwritten its dead entries: the next run must build.
-			ws.Reset()
-			last := flow.NewEvaluator(inst, ws)
-			ws.Reset()
-			for _, n := range []int{len(last.EdgeFlows()), len(last.EdgeLatencies())} {
-				buf := ws.Floats(n)
-				for i := range buf {
-					buf[i] = math.NaN()
-				}
-			}
-			ws.Reset()
-			if rebuilt := flow.NewEvaluator(inst, ws); rebuilt == last {
-				t.Fatal("an evaluator whose slabs were handed out was re-armed")
-			} else {
-				rebuilt.Eval(h)
-				mustMatchReference(t, "rebuilt over handed-out slabs", rebuilt, inst, h)
-			}
+					// A caller that took the kept evaluator's slabs may have
+					// overwritten its dead entries: the next run must build.
+					ws.Reset()
+					last := flow.NewEvaluator(inst, ws)
+					ws.Reset()
+					for _, n := range []int{len(last.EdgeFlows()), len(last.EdgeLatencies())} {
+						buf := ws.Floats(n)
+						for i := range buf {
+							buf[i] = math.NaN()
+						}
+					}
+					ws.Reset()
+					if rebuilt := flow.NewEvaluator(inst, ws); rebuilt == last {
+						t.Fatal("an evaluator whose slabs were handed out was re-armed")
+					} else {
+						rebuilt.Eval(h)
+						mustMatchReference(t, "rebuilt over handed-out slabs", rebuilt, inst, h)
+					}
 
-			if testing.Short() {
-				return
-			}
-			if n := testing.AllocsPerRun(10, func() {
-				ws.Reset()
-				flow.NewEvaluator(inst, ws)
-			}); n != 0 {
-				t.Fatalf("re-arming allocates %g times", n)
-			}
-		})
+					// AllocsPerRun counts every goroutine's allocations, so only
+					// a lone worker measures.
+					if testing.Short() || workers > 1 {
+						return
+					}
+					if n := testing.AllocsPerRun(10, func() {
+						ws.Reset()
+						flow.NewEvaluator(inst, ws)
+					}); n != 0 {
+						t.Fatalf("re-arming allocates %g times", n)
+					}
+				})
+			})
+		}
 	}
 }
 

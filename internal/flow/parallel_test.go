@@ -1,146 +1,170 @@
 package flow_test
 
-// Differential tests for the parallel full-pass kernel: with forced
-// parallelism at several worker counts, Eval, Refresh and Potential must
-// reproduce the serial evaluator — and therefore the naive reference —
-// bit for bit, on the toy topology zoo and on 10⁴+-edge instances from
-// the large catalog families. Run under -race these tests also prove the
-// chunked phases are data-race-free.
+// Differential tests for evaluators running in parallel over one shared
+// instance, the way a sweep's workers run tasks on a cached instance: each
+// goroutine owns its evaluator, and all of them read the instance's kernel
+// (incidence and live-edge latency program), which the first NewEvaluator
+// builds. Eval, ApplyDelta and Potential on every such evaluator must
+// reproduce a serial evaluator — and therefore the naive reference — bit
+// for bit, on the toy topology zoo and on 10⁴-edge instances from the
+// large catalog families. Run under -race these tests also prove that the
+// kernel's first-use build is safe and that no pass writes shared state.
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"wardrop/internal/flow"
 	"wardrop/internal/topo"
 )
 
-// largeInstances builds one 10⁴-edge instance per large family (k-shortest
-// path strategy sets keep enumeration tractable at this size).
-func largeInstances(t testing.TB) map[string]*flow.Instance {
-	t.Helper()
-	sparse, err := topo.SparseRandom(10000, 4, 4, 6, 0xabc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scale, err := topo.ScaleFree(10000, 3, 4, 6, 0xdef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*flow.Instance{
-		"sparse-random/10k": sparse,
-		"scalefree/10k":     scale,
+// parallelWorkers is the number of goroutines that evaluate one instance at
+// once.
+const parallelWorkers = 4
+
+// passResult is a copy of an evaluator's full-pass views.
+type passResult struct {
+	fe, le, pl []float64
+	phi        float64
+}
+
+func resultOf(ev *flow.Evaluator) passResult {
+	return passResult{
+		fe:  append([]float64(nil), ev.EdgeFlows()...),
+		le:  append([]float64(nil), ev.EdgeLatencies()...),
+		pl:  append([]float64(nil), ev.PathLatencies()...),
+		phi: ev.Potential(),
 	}
 }
 
-func mustEqualScalarBits(t *testing.T, what string, got, want float64) {
+func mustEqualResult(t *testing.T, what string, got, want passResult) {
 	t.Helper()
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%s: got %v (%#x), want %v (%#x)",
-			what, got, math.Float64bits(got), want, math.Float64bits(want))
-	}
+	mustEqualBits(t, what+": edge flows", got.fe, want.fe)
+	mustEqualBits(t, what+": edge latencies", got.le, want.le)
+	mustEqualBits(t, what+": path latencies", got.pl, want.pl)
+	mustEqualScalarBits(t, what+": potential", got.phi, want.phi)
 }
 
-// TestParallelEvalMatchesSerialBitwise forces the parallel path at several
-// worker counts — including more workers than some instances have edges —
-// and requires every full-pass quantity to match the serial evaluator and
-// the naive reference bitwise.
+// TestParallelEvalMatchesSerialBitwise evaluates the same flows on
+// parallelWorkers evaluators at once, starting on a fresh instance so that
+// their first NewEvaluator calls race the kernel build, and requires every
+// full-pass quantity to match a serial evaluator and the naive reference
+// bitwise.
 func TestParallelEvalMatchesSerialBitwise(t *testing.T) {
-	insts := kernelInstances(t)
-	for name, inst := range largeInstances(t) {
-		insts[name] = inst
-	}
-	for name, inst := range insts {
+	for name, inst := range differentialInstances(t) {
 		t.Run(name, func(t *testing.T) {
 			rng := &topo.SplitMix{State: 7}
-			ser := flow.NewEvaluator(inst, nil)
-			ser.SetParallelism(1)
-			for _, workers := range []int{2, 3, 8, 16} {
-				par := flow.NewEvaluator(inst, nil)
-				par.SetParallelism(workers)
-				for trial := 0; trial < 5; trial++ {
-					f := randomFlow(inst, rng)
-					ser.Eval(f)
-					par.Eval(f)
-					mustEqualBits(t, "edge flows", par.EdgeFlows(), ser.EdgeFlows())
-					mustEqualBits(t, "edge latencies", par.EdgeLatencies(), ser.EdgeLatencies())
-					mustEqualBits(t, "path latencies", par.PathLatencies(), ser.PathLatencies())
-					mustEqualScalarBits(t, "potential", par.Potential(), ser.Potential())
+			flows := make([]flow.Vector, 5)
+			for trial := range flows {
+				flows[trial] = randomFlow(inst, rng)
+			}
+			got := make([][]passResult, parallelWorkers)
+			var wg sync.WaitGroup
+			for w := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ev := flow.NewEvaluator(inst, nil)
+					for _, f := range flows {
+						ev.Eval(f)
+						got[w] = append(got[w], resultOf(ev))
+					}
+				}()
+			}
+			wg.Wait()
 
-					fe, le, pl, phi := reference(inst, f)
-					mustEqualBits(t, "edge flows vs reference", par.EdgeFlows(), fe)
-					mustEqualBits(t, "edge latencies vs reference", par.EdgeLatencies(), le)
-					mustEqualBits(t, "path latencies vs reference", par.PathLatencies(), pl)
-					mustEqualScalarBits(t, "potential vs reference", par.Potential(), phi)
+			ser := flow.NewEvaluator(inst, nil)
+			for trial, f := range flows {
+				ser.Eval(f)
+				want := resultOf(ser)
+				fe, le, pl, phi := reference(inst, f)
+				mustEqualResult(t, fmt.Sprintf("serial, trial %d, vs reference", trial),
+					want, passResult{fe: fe, le: le, pl: pl, phi: phi})
+				for w := range got {
+					mustEqualResult(t, fmt.Sprintf("worker %d, trial %d", w, trial), got[w][trial], want)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelIncrementalMatchesSerial400Steps drives serial and
-// forced-parallel evaluators through the same 400-step random delta
-// sequence on 10⁴-edge instances. After every step the two must agree
-// bitwise, and periodically both must agree with a from-scratch serial
-// Eval — delta-updated parallel state may never drift.
+// TestParallelIncrementalMatchesSerial400Steps drives parallelWorkers
+// evaluators at once through the same 400-step random delta sequence on
+// 10⁴-edge instances, then a serial evaluator through it too. After every
+// step each parallel evaluator must agree with the serial one bitwise, and
+// periodically the serial one must agree with a from-scratch Eval —
+// delta-updated state may never drift.
 func TestParallelIncrementalMatchesSerial400Steps(t *testing.T) {
 	for name, inst := range largeInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			rng := &topo.SplitMix{State: 99}
-			ser := flow.NewEvaluator(inst, nil)
-			ser.SetParallelism(1)
-			par := flow.NewEvaluator(inst, nil)
-			par.SetParallelism(4)
-			fresh := flow.NewEvaluator(inst, nil)
-			fresh.SetParallelism(1)
+			got := make([][]uint64, parallelWorkers)
+			var wg sync.WaitGroup
+			for w := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[w] = replayDeltas(inst, nil)
+				}()
+			}
+			wg.Wait()
 
-			fSer := inst.UniformFlow()
-			fPar := inst.UniformFlow()
-			ser.Eval(fSer)
-			par.Eval(fPar)
-			n := inst.NumPaths()
-			for step := 0; step < 400; step++ {
-				p := int(rng.Next() % uint64(n))
-				q := int(rng.Next() % uint64(n))
-				amount := rng.Float64() * fSer[p]
-				ser.ApplyDelta(fSer, p, q, amount)
-				par.ApplyDelta(fPar, p, q, amount)
-				mustEqualBits(t, "flow vectors", fPar, fSer)
-				mustEqualBits(t, "edge flows", par.EdgeFlows(), ser.EdgeFlows())
-				mustEqualBits(t, "path latencies", par.PathLatencies(), ser.PathLatencies())
-				if step%50 == 49 {
-					mustEqualBits(t, "edge latencies", par.EdgeLatencies(), ser.EdgeLatencies())
-					mustEqualScalarBits(t, "potential", par.Potential(), ser.Potential())
-					fresh.Eval(fSer)
-					mustEqualBits(t, "edge flows vs fresh", par.EdgeFlows(), fresh.EdgeFlows())
-					mustEqualBits(t, "path latencies vs fresh", par.PathLatencies(), fresh.PathLatencies())
+			fresh := flow.NewEvaluator(inst, nil)
+			want := replayDeltas(inst, func(ev *flow.Evaluator, f flow.Vector) {
+				fresh.Eval(f)
+				mustEqualBits(t, "edge flows vs fresh", ev.EdgeFlows(), fresh.EdgeFlows())
+				mustEqualBits(t, "path latencies vs fresh", ev.PathLatencies(), fresh.PathLatencies())
+			})
+			for w := range got {
+				for step := range want {
+					if got[w][step] != want[step] {
+						t.Fatalf("worker %d, step %d: the evaluator's views differ from the serial evaluator's", w, step)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestRefreshCostGateFallsBackBitIdentically changes every path at once:
-// the Refresh cost gate must take the full-Eval fallback and still produce
-// exactly the bits an incremental-only evaluator would have.
-func TestRefreshCostGateFallsBackBitIdentically(t *testing.T) {
-	for name, inst := range kernelInstances(t) {
-		t.Run(name, func(t *testing.T) {
-			rng := &topo.SplitMix{State: 3}
-			ev := flow.NewEvaluator(inst, nil)
-			f := randomFlow(inst, rng)
-			ev.Eval(f)
-			changed := make([]int, inst.NumPaths())
-			for g := range changed {
-				changed[g] = g
-				f[g] = rng.Float64()
+// replayDeltas drives a new evaluator on inst through a fixed 400-step
+// random delta sequence and returns, per step, a digest of the flow vector,
+// the edge flows and the path latencies — every 50 steps also of the edge
+// latencies and the potential, after which check, if not nil, sees the
+// evaluator and the flow.
+func replayDeltas(inst *flow.Instance, check func(ev *flow.Evaluator, f flow.Vector)) []uint64 {
+	rng := &topo.SplitMix{State: 99}
+	ev := flow.NewEvaluator(inst, nil)
+	f := inst.UniformFlow()
+	ev.Eval(f)
+	n := inst.NumPaths()
+	digests := make([]uint64, 400)
+	for step := range digests {
+		p := int(rng.Next() % uint64(n))
+		q := int(rng.Next() % uint64(n))
+		amount := rng.Float64() * f[p]
+		ev.ApplyDelta(f, p, q, amount)
+		h := mixBits(14695981039346656037, f)
+		h = mixBits(h, ev.EdgeFlows())
+		h = mixBits(h, ev.PathLatencies())
+		if step%50 == 49 {
+			h = mixBits(h, ev.EdgeLatencies())
+			h = mixBits(h, []float64{ev.Potential()})
+			if check != nil {
+				check(ev, f)
 			}
-			ev.Refresh(f, changed...)
-			fe, le, pl, phi := reference(inst, f)
-			mustEqualBits(t, "edge flows", ev.EdgeFlows(), fe)
-			mustEqualBits(t, "edge latencies", ev.EdgeLatencies(), le)
-			mustEqualBits(t, "path latencies", ev.PathLatencies(), pl)
-			mustEqualScalarBits(t, "potential", ev.Potential(), phi)
-		})
+		}
+		digests[step] = h
 	}
+	return digests
+}
+
+// mixBits folds the bit patterns of xs into the FNV-style digest h; each
+// fold is a bijection of h, so two sequences that differ in one value give
+// different digests.
+func mixBits(h uint64, xs []float64) uint64 {
+	for _, x := range xs {
+		h = (h ^ math.Float64bits(x)) * 1099511628211
+	}
+	return h
 }
