@@ -108,7 +108,7 @@ func run(args []string) error {
 		for _, id := range strings.Split(*expFlag, ",") {
 			id = strings.TrimSpace(strings.ToLower(id))
 			if _, ok := runners[id]; !ok {
-				return fmt.Errorf("unknown experiment %q (known: %s, e6s, e7s, e8s, e6c, e7c, e8c, all)", id, strings.Join(order, ", "))
+				return fmt.Errorf("unknown experiment %q (known: %s, e6s, e7s, e8s, e6c, e7c, e8c; or 'all' on its own)", id, strings.Join(order, ", "))
 			}
 			ids = append(ids, id)
 		}

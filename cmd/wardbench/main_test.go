@@ -14,6 +14,11 @@ func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-exp", "e99"}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("error = %v", err)
 	}
+	// "all" is a mode, not an id: the error must not list it as one.
+	err := run([]string{"-exp", "all,e6c"})
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "all"`) || !strings.Contains(err.Error(), "'all' on its own") {
+		t.Errorf("-exp all,e6c: error = %v", err)
+	}
 }
 
 func TestRunSingleExperimentAndCSV(t *testing.T) {
