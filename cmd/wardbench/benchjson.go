@@ -117,11 +117,11 @@ func headline(id string, tbl *report.Table) (string, float64, bool) {
 		if v, ok := cell(1, 2); ok {
 			return "phi-final-at-Tsafe", v, true
 		}
-	case "e6", "e6s", "e6c", "e8", "e8s", "e8c":
+	case "e6", "e6c", "e8", "e8c":
 		if v, ok := cell(last, 2); ok {
 			return "rounds-at-max-m", v, true
 		}
-	case "e7", "e7s", "e7c":
+	case "e7", "e7c":
 		if v, ok := cell(last, 1); ok {
 			return "rounds-at-min-delta", v, true
 		}

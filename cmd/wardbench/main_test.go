@@ -11,8 +11,10 @@ import (
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "e99"}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
-		t.Errorf("error = %v", err)
+	for _, id := range []string{"e99", "e6s"} {
+		if err := run([]string{"-exp", id}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-exp %s: error = %v", id, err)
+		}
 	}
 	// "all" is a mode, not an id: the error must not list it as one.
 	err := run([]string{"-exp", "all,e6c"})
@@ -98,7 +100,7 @@ func TestHeadlineCoversEveryExperiment(t *testing.T) {
 		{"1", "1", "1", "1", "1", "1"},
 		{"2", "2", "2", "2", "2", "2"},
 	}}
-	for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "ablation", "e6s", "e7s", "e8s", "e6c", "e7c", "e8c"} {
+	for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "ablation", "e6c", "e7c", "e8c"} {
 		if name, _, ok := headline(id, tbl); !ok || name == "" {
 			t.Errorf("experiment %s has no headline metric", id)
 		}

@@ -34,29 +34,40 @@ func DefaultE6Params() E6Params {
 // parallel-link instances. Rows sweep m; the note reports the fitted
 // log-log exponent (paper bound: ≤ 1, i.e. at most linear).
 func RunE6(p E6Params) (*report.Table, error) {
+	return runE6(p, scalingEngine{})
+}
+
+// RunE6Count reproduces E6 on the mean-field count engine at population n,
+// seeding the cell of m links with m; see RunE6 for the experiment's
+// semantics.
+func RunE6Count(p E6Params, n int64) (*report.Table, error) {
+	return runE6(p, scalingEngine{count: true, n: n})
+}
+
+func runE6(p E6Params, on scalingEngine) (*report.Table, error) {
 	tbl := &report.Table{
-		Title:   "E6 Thm 6: uniform sampling — unsatisfied rounds vs path count",
+		Title:   on.title("E6 Thm 6", "uniform sampling — unsatisfied rounds vs path count"),
 		Columns: []string{"m", "T", "rounds", "complete", "bound_shape"},
 	}
 	var ms, rounds []float64
 	for _, m := range p.LinkCounts {
 		inst, err := topo.LinearParallelLinks(m)
 		if err != nil {
-			return nil, wrap("E6", err)
+			return nil, on.wrap("E6", err)
 		}
 		pol, err := uniformLinearFor(inst)
 		if err != nil {
-			return nil, wrap("E6", err)
+			return nil, on.wrap("E6", err)
 		}
 		t, err := safeT(inst, pol)
 		if err != nil {
-			return nil, wrap("E6", err)
+			return nil, on.wrap("E6", err)
 		}
 		// Start adversarially: all flow on the worst (last) link.
 		f0 := inst.SinglePathFlow(m - 1)
-		n, complete, err := countUnsatisfiedRounds(inst, pol, f0, t, p.Delta, p.Eps, false, p.Streak, p.MaxPhases)
+		n, complete, err := countUnsatisfiedRounds(on.cell(uint64(m)), inst, pol, f0, t, p.Delta, p.Eps, false, p.Streak, p.MaxPhases)
 		if err != nil {
-			return nil, wrap("E6", err)
+			return nil, on.wrap("E6", err)
 		}
 		// The paper's bound for this cell, up to its hidden constant:
 		// m/(εT)·(ℓmax/δ)².
@@ -68,6 +79,6 @@ func RunE6(p E6Params) (*report.Table, error) {
 	if fit, err := stats.LogLogSlope(ms, rounds); err == nil {
 		tbl.AddNote("fitted exponent of rounds vs m = %.3f (paper bound shape: <= 1, linear)", fit.Slope)
 	}
-	tbl.AddNote("delta=%g eps=%g; rounds counted until %d consecutive satisfied phases", p.Delta, p.Eps, p.Streak)
+	on.note(tbl, "delta=%g eps=%g; rounds counted until %d consecutive satisfied phases", p.Delta, p.Eps, p.Streak)
 	return tbl, nil
 }

@@ -38,28 +38,39 @@ func DefaultE8Params() E8Params {
 // routes 90% of demand on the worst link and spreads the rest evenly
 // (proportional sampling cannot leave a path with exactly zero flow).
 func RunE8(p E8Params) (*report.Table, error) {
+	return runE8(p, scalingEngine{})
+}
+
+// RunE8Count reproduces E8 on the mean-field count engine at population n,
+// seeding the cell of m links with m; see RunE8 for the experiment's
+// semantics.
+func RunE8Count(p E8Params, n int64) (*report.Table, error) {
+	return runE8(p, scalingEngine{count: true, n: n})
+}
+
+func runE8(p E8Params, on scalingEngine) (*report.Table, error) {
 	tbl := &report.Table{
-		Title:   "E8 Thm 7: proportional sampling — weak unsatisfied rounds vs path count",
+		Title:   on.title("E8 Thm 7", "proportional sampling — weak unsatisfied rounds vs path count"),
 		Columns: []string{"m", "T", "rounds", "complete", "bound_shape"},
 	}
 	var ms, rounds []float64
 	for _, m := range p.LinkCounts {
 		inst, err := topo.LinearParallelLinks(m)
 		if err != nil {
-			return nil, wrap("E8", err)
+			return nil, on.wrap("E8", err)
 		}
 		pol, err := replicatorFor(inst)
 		if err != nil {
-			return nil, wrap("E8", err)
+			return nil, on.wrap("E8", err)
 		}
 		t, err := safeT(inst, pol)
 		if err != nil {
-			return nil, wrap("E8", err)
+			return nil, on.wrap("E8", err)
 		}
 		f0 := skewedStart(inst.NumPaths(), m-1)
-		n, complete, err := countUnsatisfiedRounds(inst, pol, f0, t, p.Delta, p.Eps, true, p.Streak, p.MaxPhases)
+		n, complete, err := countUnsatisfiedRounds(on.cell(uint64(m)), inst, pol, f0, t, p.Delta, p.Eps, true, p.Streak, p.MaxPhases)
 		if err != nil {
-			return nil, wrap("E8", err)
+			return nil, on.wrap("E8", err)
 		}
 		bound := 1 / (p.Eps * t) * (inst.LMax() / p.Delta) * (inst.LMax() / p.Delta)
 		tbl.AddRow(report.I(m), report.F(t), report.I(n), boolCell(complete), report.F(bound))
@@ -69,7 +80,7 @@ func RunE8(p E8Params) (*report.Table, error) {
 	if fit, err := stats.LogLogSlope(ms, rounds); err == nil {
 		tbl.AddNote("fitted exponent of rounds vs m = %.3f (paper bound shape: 0, independent of |P|)", fit.Slope)
 	}
-	tbl.AddNote("delta=%g eps=%g (weak metric, Definition 4)", p.Delta, p.Eps)
+	on.note(tbl, "delta=%g eps=%g (weak metric, Definition 4)", p.Delta, p.Eps)
 	return tbl, nil
 }
 

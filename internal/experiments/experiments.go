@@ -17,6 +17,7 @@ import (
 	"wardrop/internal/engine"
 	"wardrop/internal/flow"
 	"wardrop/internal/policy"
+	"wardrop/internal/report"
 	"wardrop/internal/solver"
 )
 
@@ -59,15 +60,15 @@ func phiStar(inst *flow.Instance) (float64, error) {
 // carry no integration error.
 var exactFluid = engine.Fluid{Integrator: dynamics.Uniformization}
 
-// countUnsatisfiedRounds runs the stale dynamics from f0 and returns the
-// number of phases not starting at the configured approximate equilibrium,
-// stopping once `streak` consecutive phases are satisfied (or at maxPhases).
-// The second return reports whether the streak stop fired (i.e. the count is
-// complete rather than truncated).
-func countUnsatisfiedRounds(inst *flow.Instance, pol policy.Policy, f0 flow.Vector,
+// countUnsatisfiedRounds runs the stale dynamics on eng from f0 and returns
+// the number of phases not starting at the configured approximate
+// equilibrium, stopping once `streak` consecutive phases are satisfied (or at
+// maxPhases). The second return reports whether the streak stop fired (i.e.
+// the count is complete rather than truncated).
+func countUnsatisfiedRounds(eng engine.Engine, inst *flow.Instance, pol policy.Policy, f0 flow.Vector,
 	T, delta, eps float64, weak bool, streak, maxPhases int) (int, bool, error) {
 	res, err := engine.Run(context.Background(), engine.Scenario{
-		Engine:                   exactFluid,
+		Engine:                   eng,
 		Instance:                 inst,
 		Policy:                   pol,
 		UpdatePeriod:             T,
@@ -82,6 +83,55 @@ func countUnsatisfiedRounds(inst *flow.Instance, pol policy.Policy, f0 flow.Vect
 		return 0, false, err
 	}
 	return res.UnsatisfiedPhases, res.Stopped, nil
+}
+
+// CountPopulation is the default population for E6–E8 on the count engine:
+// ≥ 1000× the largest population the per-agent engine runs anywhere in this
+// repository (3200 in E10, 2000 in the equivalence tests). A count phase
+// costs O(paths) whatever the population, and the verdicts (rounds below the
+// paper bound, growth linear in m for uniform sampling, flat in m for
+// proportional sampling) must survive the sampling noise.
+const CountPopulation = 4_000_000
+
+// scalingEngine is the engine E6–E8 run their cells on: the exact fluid
+// engine, or with count set the mean-field count engine at population n,
+// seeded per cell.
+type scalingEngine struct {
+	count bool
+	n     int64
+}
+
+func (s scalingEngine) cell(seed uint64) engine.Engine {
+	if !s.count {
+		return exactFluid
+	}
+	return engine.Count{N: s.n, Seed: seed}
+}
+
+// title names the experiment, tagging count-engine tables.
+func (s scalingEngine) title(exp, what string) string {
+	if !s.count {
+		return exp + ": " + what
+	}
+	return exp + " (count engine): " + what
+}
+
+// wrap tags a failure with the experiment and, on the count engine, "/count".
+func (s scalingEngine) wrap(exp string, err error) error {
+	if s.count {
+		exp += "/count"
+	}
+	return wrap(exp, err)
+}
+
+// note adds the table's parameter note, prefixed with the population on the
+// count engine.
+func (s scalingEngine) note(tbl *report.Table, format string, args ...any) {
+	if s.count {
+		format = "count engine, N=%d; " + format
+		args = append([]any{s.n}, args...)
+	}
+	tbl.AddNote(format, args...)
 }
 
 // potentialSeries runs the stale dynamics and returns the potential at each
