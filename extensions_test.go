@@ -1,6 +1,7 @@
 package wardrop_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -38,9 +39,10 @@ func TestRelativeGainFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wardrop.Simulate(inst, wardrop.SimConfig{
-		Policy: pol, UpdatePeriod: T, Horizon: 800, Integrator: wardrop.Uniformization,
-	}, inst.UniformFlow())
+	res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		Engine:   wardrop.FluidEngine{Integrator: wardrop.Uniformization},
+		Instance: inst, Policy: pol, UpdatePeriod: T, Horizon: 800,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +69,10 @@ func TestParseInstanceFacade(t *testing.T) {
 	}
 	// The parsed kink instance reproduces the §3.2 oscillation.
 	f1, _, _ := wardrop.TwoLinkOscillation(4, 0.5, 0)
-	res, err := wardrop.SimulateBestResponse(inst, wardrop.BestResponseConfig{
-		UpdatePeriod: 0.5, Horizon: 4,
-	}, wardrop.Flow{f1, 1 - f1})
+	res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		Engine: wardrop.BestResponseEngine{}, Instance: inst,
+		UpdatePeriod: 0.5, Horizon: 4, InitialFlow: wardrop.Flow{f1, 1 - f1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +90,10 @@ func TestAgentEventEngineFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := wardrop.NewAgentSim(inst, wardrop.AgentConfig{
-		N: 500, Policy: pol, UpdatePeriod: 0.25, Horizon: 30, Seed: 5,
+	res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		Engine:   wardrop.AgentsEngine{N: 500, Seed: 5, EventDriven: true},
+		Instance: inst, Policy: pol, UpdatePeriod: 0.25, Horizon: 30,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.RunEventDriven()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestRunConvergesOnPigou(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestDeterminismForFixedSeedAndWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestFluidLimitAgreementImprovesWithN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := s.Run()
+			res, err := s.RunContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestHookAndTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestConservationUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	if _, err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -21,7 +21,7 @@ func TestSingleAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFiniteAgentsBestResponseOscillation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	if _, err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	flips := 0
@@ -107,7 +107,7 @@ func TestAgentsFrozenOnConstantLatencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.EmpiricalFlow()
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestShardCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		res, err := s.Run()
+		res, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,12 +9,18 @@ import (
 	"wardrop/internal/policy"
 )
 
-// RunEventDriven simulates the same finite-N bulletin-board system as Run,
-// but with an exact global event clock instead of per-phase Poisson
-// batching: the superposition of the N agents' rate-1 Poisson clocks is a
-// rate-N Poisson process, so the engine draws Exp(N) inter-activation gaps
-// and activates a uniformly random agent at each event, refreshing the board
-// whenever the clock crosses a multiple of T.
+// ctxCheckEvents is how many activation events the event-driven engine
+// processes between context checks — often enough that cancellation is
+// prompt even when a whole run fits inside one board phase, rarely enough
+// that the check cost vanishes against the per-event RNG work.
+const ctxCheckEvents = 1024
+
+// RunEventDrivenContext simulates the same finite-N bulletin-board system
+// as RunContext, but with an exact global event clock instead of per-phase
+// Poisson batching: the superposition of the N agents' rate-1 Poisson clocks
+// is a rate-N Poisson process, so the engine draws Exp(N) inter-activation
+// gaps and activates a uniformly random agent at each event, refreshing the
+// board whenever the clock crosses a multiple of T.
 //
 // Both engines sample the same process law (within a phase the board is
 // frozen, so the batched engine's per-agent Poisson counts are exactly the
@@ -23,20 +29,9 @@ import (
 // matters. It honours Config.Seed and the RunShape (observer, recording,
 // (δ,ε) accounting); Workers is ignored.
 //
-// Deprecated: use RunEventDrivenContext, which adds cancellation.
-func (s *Sim) RunEventDriven() (*dynamics.Result, error) {
-	return s.RunEventDrivenContext(context.Background())
-}
-
-// ctxCheckEvents is how many activation events the event-driven engine
-// processes between context checks — often enough that cancellation is
-// prompt even when a whole run fits inside one board phase, rarely enough
-// that the check cost vanishes against the per-event RNG work.
-const ctxCheckEvents = 1024
-
-// RunEventDrivenContext is RunEventDriven with cancellation: ctx is checked
-// at every board refresh and every ctxCheckEvents activation events, and
-// when it is done the partial result is returned together with ctx.Err().
+// ctx is checked at every board refresh and every ctxCheckEvents activation
+// events, and when it is done the partial result is returned together with
+// ctx.Err().
 func (s *Sim) RunEventDrivenContext(ctx context.Context) (*dynamics.Result, error) {
 	rng := NewRNG(s.cfg.Seed ^ 0xd1b54a32d192ed03)
 

@@ -1,6 +1,7 @@
 package agents
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestEventDrivenConvergesOnPigou(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunEventDriven()
+	res, err := s.RunEventDrivenContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestEventDrivenDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.RunEventDriven()
+		res, err := s.RunEventDrivenContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestEventDrivenHookAndPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunEventDriven()
+	res, err := s.RunEventDrivenContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +98,9 @@ func TestEngineEquivalenceInDistribution(t *testing.T) {
 			}
 			var res *dynamics.Result
 			if event {
-				res, err = s.RunEventDriven()
+				res, err = s.RunEventDrivenContext(context.Background())
 			} else {
-				res, err = s.Run()
+				res, err = s.RunContext(context.Background())
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -135,7 +136,7 @@ func TestEventDrivenBraessFeasibilityThroughout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunEventDriven(); err != nil {
+	if _, err := s.RunEventDrivenContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

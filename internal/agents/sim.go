@@ -206,14 +206,6 @@ func Populations(inst *flow.Instance, n int64) ([]int64, bool) {
 	return perComm, perComm[largest] >= 1
 }
 
-// Run simulates until the horizon (or an observer stop) and returns the
-// result.
-//
-// Deprecated: use RunContext, which adds cancellation.
-func (s *Sim) Run() (*dynamics.Result, error) {
-	return s.RunContext(context.Background())
-}
-
 // RunContext simulates until the horizon (or an observer stop) and returns
 // the result. The Result's Phases/Trajectory/UnsatisfiedPhases semantics
 // match the dynamics package. Cancellation is checked between phases: when

@@ -170,8 +170,7 @@ func IsCancellation(err error) bool {
 
 // Run executes the scenario on its engine. It is the single entry point the
 // sweep engine, the experiments harness, the CLIs and the examples dispatch
-// through; the legacy Simulate*/NewAgentSim functions remain as deprecated
-// adapters around the same internals.
+// through.
 func Run(ctx context.Context, sc Scenario, opts ...RunOption) (*Result, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err

@@ -9,12 +9,6 @@ import (
 	"wardrop/internal/flow"
 )
 
-// Run simulates until the horizon (or an observer stop) and returns the
-// result.
-func (s *Sim) Run() (*dynamics.Result, error) {
-	return s.RunContext(context.Background())
-}
-
 // RunContext simulates until the horizon (or an observer stop) and returns
 // the result. The Result's Phases/Trajectory/UnsatisfiedPhases semantics
 // match the dynamics package, and cancellation is checked between phases

@@ -134,7 +134,7 @@ func TestCountConservationAcrossPhases(t *testing.T) {
 		for g, c := range s.counts {
 			want[inst.CommodityOf(g)] += c
 		}
-		if _, err := s.Run(); err != nil {
+		if _, err := s.RunContext(context.Background()); err != nil {
 			t.Fatalf("%s: %v", build.name, err)
 		}
 		got := make([]int64, inst.NumCommodities())
@@ -173,7 +173,7 @@ func TestHugeUpdatePeriodConserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	if _, err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var total int64
@@ -195,7 +195,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestRunShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestRunShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Run()
+	res, err = s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRunShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Run()
+	res, err = s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

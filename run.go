@@ -12,9 +12,7 @@ import (
 // Run(ctx, scenario, opts...) is the single entry point for every dynamics:
 // a Scenario says what to simulate (instance, policy, information model,
 // initial flow, run shape), an Engine says how (fluid limit, best response,
-// finite-N agents), and Observers watch or stop the run. The legacy
-// Simulate/SimulateFresh/SimulateBestResponse/NewAgentSim entry points
-// remain as deprecated adapters around the same internals.
+// finite-N agents), and Observers watch or stop the run.
 
 // Scenario declares one simulation: instance + policy + information model +
 // initial flow + run shape. See engine.Scenario.
@@ -55,7 +53,7 @@ const MaxAgentPopulation = engine.MaxAgentPopulation
 type RunOption = engine.RunOption
 
 // Result is the unified simulation outcome shared by every engine (the same
-// shape the deprecated entry points return as SimResult).
+// type as SimResult).
 type Result = engine.Result
 
 // Run executes the scenario on its engine (FluidEngine when the scenario

@@ -1,18 +1,12 @@
 package wardrop
 
 import (
-	"context"
-
-	"wardrop/internal/agents"
 	"wardrop/internal/dynamics"
 	"wardrop/internal/solver"
 	"wardrop/internal/topo"
 )
 
-// Fluid-limit simulation -------------------------------------------------------
-
-// SimConfig parameterises a fluid-limit run (see dynamics.Config).
-type SimConfig = dynamics.Config
+// Simulation results and observations ---------------------------------------
 
 // SimResult is a simulation outcome.
 type SimResult = dynamics.Result
@@ -40,9 +34,6 @@ const (
 	Uniformization = dynamics.Uniformization
 )
 
-// BestResponseConfig parameterises the best-response dynamics.
-type BestResponseConfig = dynamics.BestResponseConfig
-
 // Accountant accumulates the per-phase Lemma 3 / Lemma 4 potential
 // bookkeeping.
 type Accountant = dynamics.Accountant
@@ -53,54 +44,11 @@ type PhaseAccount = dynamics.PhaseAccount
 // NewAccountant creates a potential accountant for the instance.
 func NewAccountant(inst *Instance) *Accountant { return dynamics.NewAccountant(inst) }
 
-// Simulate integrates the stale-information dynamics (Eq. 3) under the
-// bulletin-board model.
-//
-// Deprecated: use Run with a Scenario (the default FluidEngine); Run adds
-// context cancellation, engine selection and composable observers. Simulate
-// remains as a thin adapter and produces byte-identical results.
-func Simulate(inst *Instance, cfg SimConfig, f0 Flow) (*SimResult, error) {
-	return dynamics.Run(context.Background(), inst, cfg, f0)
-}
-
-// SimulateFresh integrates the up-to-date-information dynamics (Eq. 1).
-//
-// Deprecated: use Run with Scenario{Engine: FluidEngine{Fresh: true}, ...}.
-func SimulateFresh(inst *Instance, cfg SimConfig, f0 Flow) (*SimResult, error) {
-	return dynamics.RunFresh(context.Background(), inst, cfg, f0)
-}
-
-// SimulateBestResponse integrates the best-response differential inclusion
-// under stale information (Eq. 4) with exact per-phase relaxation.
-//
-// Deprecated: use Run with Scenario{Engine: BestResponseEngine{}, ...}.
-func SimulateBestResponse(inst *Instance, cfg BestResponseConfig, f0 Flow) (*SimResult, error) {
-	return dynamics.RunBestResponse(context.Background(), inst, cfg, f0)
-}
-
 // TwoLinkOscillation returns the §3.2 closed forms: the periodic start
 // f1(0), the sustained latency amplitude X, and the largest T keeping the
 // oscillation within eps.
 func TwoLinkOscillation(beta, period, eps float64) (f1Start, amplitude, maxPeriod float64) {
 	return dynamics.TwoLinkOscillation(beta, period, eps)
-}
-
-// Stochastic agent simulation ---------------------------------------------------
-
-// AgentConfig parameterises the finite-N stochastic simulator.
-type AgentConfig = agents.Config
-
-// AgentSim is a finite-N bulletin-board simulation.
-type AgentSim = agents.Sim
-
-// NewAgentSim validates the configuration and distributes N agents over
-// worker shards.
-//
-// Deprecated: use Run with Scenario{Engine: AgentsEngine{N: ..., Seed: ...},
-// ...}; keep NewAgentSim only when the Sim value itself is needed (e.g. for
-// EmpiricalFlow between runs).
-func NewAgentSim(inst *Instance, cfg AgentConfig) (*AgentSim, error) {
-	return agents.New(inst, cfg)
 }
 
 // Reference solver ----------------------------------------------------------------

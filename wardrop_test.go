@@ -1,6 +1,7 @@
 package wardrop_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,9 +23,9 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wardrop.Simulate(inst, wardrop.SimConfig{
-		Policy: pol, UpdatePeriod: T, Horizon: 200,
-	}, inst.UniformFlow())
+	res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		Instance: inst, Policy: pol, UpdatePeriod: T, Horizon: 200,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +72,10 @@ func TestFacadeBestResponseAndClosedForm(t *testing.T) {
 	if f1 <= 0.5 || amp <= 0 || maxT <= 0 {
 		t.Fatalf("closed form degenerate: %g %g %g", f1, amp, maxT)
 	}
-	res, err := wardrop.SimulateBestResponse(inst, wardrop.BestResponseConfig{
-		UpdatePeriod: T, Horizon: 10 * T,
-	}, wardrop.Flow{f1, 1 - f1})
+	res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		Engine: wardrop.BestResponseEngine{}, Instance: inst,
+		UpdatePeriod: T, Horizon: 10 * T, InitialFlow: wardrop.Flow{f1, 1 - f1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +93,10 @@ func TestFacadeAgentSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := wardrop.NewAgentSim(inst, wardrop.AgentConfig{
-		N: 300, Policy: pol, UpdatePeriod: 0.25, Horizon: 10, Seed: 1, Workers: 2,
+	res, err := wardrop.Run(context.Background(), wardrop.Scenario{
+		Engine:   wardrop.AgentsEngine{N: 300, Seed: 1, Workers: 2},
+		Instance: inst, Policy: pol, UpdatePeriod: 0.25, Horizon: 10,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
