@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"wardrop"
+	"wardrop/internal/engine"
 )
 
 func TestRunErrors(t *testing.T) {
@@ -227,6 +228,46 @@ func TestRunCancelledContextFlushesPartial(t *testing.T) {
 	err := run(ctx, []string{"-topo", "pigou", "-policy", "replicator", "-horizon", "50"}, io.Discard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// A run that blows up must fail, not print a trajectory of NaN or overflowed
+// flows and exit 0: Pigou at a period 10³ beyond the safe one overflows RK4,
+// and Sioux Falls' "safe" period (β read from slopes on [0, 1] against its
+// real demand) turns every flow to NaN.
+func TestScenarioDivergenceFails(t *testing.T) {
+	docs := map[string]string{
+		"pigou": `{
+		  "topology": {"family": "pigou"},
+		  "policy": {"kind": "replicator"},
+		  "updatePeriod": 1000,
+		  "horizon": 3000,
+		  "recordEvery": 1
+		}`,
+		"siouxfalls": `{
+		  "topology": {"family": "tntp", "params": {
+		    "net": "../../internal/tntp/testdata/siouxfalls_net.tntp",
+		    "trips": "../../internal/tntp/testdata/siouxfalls_trips.tntp",
+		    "kpaths": 8}},
+		  "policy": {"kind": "replicator"},
+		  "updatePeriod": "safe",
+		  "maxPhases": 12,
+		  "recordEvery": 4
+		}`,
+	}
+	for name, doc := range docs {
+		path := filepath.Join(t.TempDir(), "scenario.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-scenario", path}, &out)
+		if !errors.Is(err, engine.ErrDiverged) {
+			t.Errorf("%s: err = %v, want ErrDiverged", name, err)
+		}
+		if strings.Contains(out.String(), "time,potential") {
+			t.Errorf("%s: diverged run printed a trajectory:\n%s", name, out.String())
+		}
 	}
 }
 

@@ -26,6 +26,10 @@ var (
 	ErrBadScenario = errors.New("engine: invalid scenario")
 	// ErrBadEngine indicates an unknown or misconfigured engine.
 	ErrBadEngine = errors.New("engine: invalid engine")
+	// ErrDiverged indicates a run whose final flow is not feasible: a NaN
+	// or negative entry, or a commodity that no longer routes its demand.
+	// Run returns the result together with it.
+	ErrDiverged = errors.New("engine: run diverged")
 )
 
 // Result is the unified simulation outcome shared by every engine.
@@ -170,7 +174,9 @@ func IsCancellation(err error) bool {
 
 // Run executes the scenario on its engine. It is the single entry point the
 // sweep engine, the experiments harness, the CLIs and the examples dispatch
-// through.
+// through. A run that completes with an infeasible final flow (within the
+// 1e-9 the fluid engine projects each phase to) returns its result together
+// with an error wrapping ErrDiverged.
 func Run(ctx context.Context, sc Scenario, opts ...RunOption) (*Result, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -182,5 +188,11 @@ func Run(ctx context.Context, sc Scenario, opts ...RunOption) (*Result, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return sc.engineOrDefault().Run(ctx, sc, o)
+	res, err := sc.engineOrDefault().Run(ctx, sc, o)
+	if err == nil {
+		if ferr := sc.Instance.Feasible(res.Final, 1e-9); ferr != nil {
+			err = fmt.Errorf("%w: %v", ErrDiverged, ferr)
+		}
+	}
+	return res, err
 }
