@@ -94,14 +94,26 @@ func metadata(sc *bufio.Scanner, meta map[string]string) error {
 	return fmt.Errorf("tntp: missing <END OF METADATA>")
 }
 
+// metaField returns the first field of a present metadata key's value.
+func metaField(meta map[string]string, key string) (string, error) {
+	f := strings.Fields(meta[key])
+	if len(f) == 0 {
+		return "", fmt.Errorf("tntp: metadata <%s> has no value", key)
+	}
+	return f[0], nil
+}
+
 func metaInt(meta map[string]string, key string) (int, error) {
-	v, ok := meta[key]
-	if !ok {
+	if _, ok := meta[key]; !ok {
 		return 0, fmt.Errorf("tntp: missing metadata <%s>", key)
 	}
-	n, err := strconv.Atoi(strings.Fields(v)[0])
+	v, err := metaField(meta, key)
 	if err != nil {
-		return 0, fmt.Errorf("tntp: metadata <%s> = %q: %v", key, v, err)
+		return 0, err
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("tntp: metadata <%s> = %q: %v", key, meta[key], err)
 	}
 	return n, nil
 }
@@ -122,13 +134,20 @@ func ParseNet(r io.Reader) (*Network, error) {
 	if net.Nodes, err = metaInt(meta, "NUMBER OF NODES"); err != nil {
 		return nil, err
 	}
+	// Zones are the first nodes, so Instance can index them by node ID.
+	if net.Zones < 1 {
+		return nil, fmt.Errorf("tntp: <NUMBER OF ZONES> = %d, want at least 1", net.Zones)
+	}
+	if net.Nodes < net.Zones {
+		return nil, fmt.Errorf("tntp: %d nodes, fewer than the %d zones", net.Nodes, net.Zones)
+	}
 	wantLinks, err := metaInt(meta, "NUMBER OF LINKS")
 	if err != nil {
 		return nil, err
 	}
-	if v, ok := meta["FIRST THRU NODE"]; ok {
-		if net.FirstThruNode, err = strconv.Atoi(strings.Fields(v)[0]); err != nil {
-			return nil, fmt.Errorf("tntp: metadata <FIRST THRU NODE> = %q: %v", v, err)
+	if _, ok := meta["FIRST THRU NODE"]; ok {
+		if net.FirstThruNode, err = metaInt(meta, "FIRST THRU NODE"); err != nil {
+			return nil, err
 		}
 	}
 	for sc.Scan() {
@@ -195,9 +214,13 @@ func ParseTrips(r io.Reader) (*Trips, error) {
 	if tr.Zones, err = metaInt(meta, "NUMBER OF ZONES"); err != nil {
 		return nil, err
 	}
-	if v, ok := meta["TOTAL OD FLOW"]; ok {
-		if tr.TotalOD, err = strconv.ParseFloat(strings.Fields(v)[0], 64); err != nil {
-			return nil, fmt.Errorf("tntp: metadata <TOTAL OD FLOW> = %q: %v", v, err)
+	if _, ok := meta["TOTAL OD FLOW"]; ok {
+		v, err := metaField(meta, "TOTAL OD FLOW")
+		if err != nil {
+			return nil, err
+		}
+		if tr.TotalOD, err = strconv.ParseFloat(v, 64); err != nil {
+			return nil, fmt.Errorf("tntp: metadata <TOTAL OD FLOW> = %q: %v", meta["TOTAL OD FLOW"], err)
 		}
 	}
 	origin := 0
