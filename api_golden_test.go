@@ -10,12 +10,12 @@ import (
 	"wardrop"
 )
 
-// The golden tests below pin the unified Run API on Pigou, Braess and
-// TwoLinkKink, for every engine the pre-Run entry points (Simulate,
-// SimulateFresh, SimulateBestResponse, NewAgentSim) used to reach: Final,
-// FinalPotential, Phases, UnsatisfiedPhases and the trajectory length must
-// reproduce the literal values captured from the pre-redesign
-// implementation.
+// The golden tests below pin Run on Pigou, Braess and TwoLinkKink under the
+// stale fluid (uniformization and RK4), fresh fluid, best-response and
+// agents engines: Final, FinalPotential, Phases, UnsatisfiedPhases and the
+// trajectory length must reproduce the literal values captured from the
+// seed implementation. Each test is named after the entry point its values
+// were first captured through.
 
 type goldenCase struct {
 	// final is each Final component formatted %.17g (float64 round-trip).
