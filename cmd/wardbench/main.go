@@ -1,6 +1,6 @@
-// Command wardbench regenerates the paper's quantitative artefacts (E1–E10
-// plus ablations) and prints them as aligned tables, optionally emitting CSV
-// files per experiment.
+// Command wardbench regenerates the paper's quantitative artefacts (E1–E12,
+// the step-size ablation, and E6–E8 on the count engine) and prints them as
+// aligned tables, optionally emitting CSV files per experiment.
 //
 // Usage:
 //
