@@ -33,7 +33,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("wardbench", flag.ContinueOnError)
-	expFlag := fs.String("exp", "all", "comma-separated experiment ids (e1..e12, ablation) or 'all'")
+	expFlag := fs.String("exp", "all", "comma-separated experiment ids (e1..e12, ablation, e6c, e7c, e8c) or 'all' on its own")
 	csvDir := fs.String("csv", "", "directory to write per-experiment CSV files (optional)")
 	benchJSON := fs.String("benchjson", "", "file to write machine-readable results (ns, allocs, headline metric per experiment plus kernel-vs-reference benchmarks)")
 	benchGrid := fs.Int("benchgrid", 6, "grid size for the kernel benchmark suite in -benchjson (0 skips the suite)")
