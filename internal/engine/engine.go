@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
@@ -174,9 +175,9 @@ func IsCancellation(err error) bool {
 
 // Run executes the scenario on its engine. It is the single entry point the
 // sweep engine, the experiments harness, the CLIs and the examples dispatch
-// through. A run that completes with an infeasible final flow (within the
-// 1e-9 the fluid engine projects each phase to) returns its result together
-// with an error wrapping ErrDiverged.
+// through. A run that completes with an infeasible final flow (see
+// divergenceTol) returns its result together with an error wrapping
+// ErrDiverged.
 func Run(ctx context.Context, sc Scenario, opts ...RunOption) (*Result, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -190,9 +191,21 @@ func Run(ctx context.Context, sc Scenario, opts ...RunOption) (*Result, error) {
 	}
 	res, err := sc.engineOrDefault().Run(ctx, sc, o)
 	if err == nil {
-		if ferr := sc.Instance.Feasible(res.Final, 1e-9); ferr != nil {
+		if ferr := sc.Instance.Feasible(res.Final, divergenceTol(sc.Instance)); ferr != nil {
 			err = fmt.Errorf("%w: %v", ErrDiverged, ferr)
 		}
 	}
 	return res, err
+}
+
+// divergenceTol is the tolerance a completed run's final flow is held to:
+// the 1e-9 the fluid engine projects each phase to, relative to the largest
+// commodity demand when that exceeds 1, since a demand's round-off grows with
+// it (a demand of 10⁷ split over eight paths sums to 10⁷ ± 2 ulp, 4e-9).
+func divergenceTol(inst *flow.Instance) float64 {
+	scale := 1.0
+	for i := 0; i < inst.NumCommodities(); i++ {
+		scale = math.Max(scale, inst.Commodity(i).Demand)
+	}
+	return 1e-9 * scale
 }
