@@ -21,8 +21,7 @@ type benchReport struct {
 	GoOS   string `json:"goos"`
 	GoArch string `json:"goarch"`
 	// MaxProcs records the parallelism the measurements ran under (instance
-	// builds search paths on up to GOMAXPROCS goroutines, and the agents
-	// engine defaults to GOMAXPROCS workers).
+	// builds search paths on up to GOMAXPROCS goroutines).
 	MaxProcs int `json:"maxprocs"`
 	// GridN is the kernel suite's grid size (0: suite skipped).
 	GridN int `json:"gridN,omitempty"`

@@ -47,7 +47,7 @@ func NewSweepTaskSpec(c *Campaign, t SweepTask) *SweepTaskSpec {
 }
 
 // DistSweepOptions configures a distributed sweep (HTTP client, per-node
-// inflight, retry policy, streaming sink, progress and event callbacks).
+// inflight, streaming sink, progress and event callbacks).
 type DistSweepOptions = dispatch.Options
 
 // DistSweepEvent is one coordinator lifecycle observation (a node declared

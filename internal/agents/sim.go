@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -43,8 +42,9 @@ type Config struct {
 	// Seed makes runs reproducible. Runs are deterministic for a fixed
 	// (Seed, Workers) pair.
 	Seed uint64
-	// Workers is the number of simulation goroutines (default: GOMAXPROCS,
-	// capped by N).
+	// Workers is the number of simulation goroutines, capped by N (0 = two).
+	// It fixes the shard split, and so which RNG stream each agent draws
+	// from.
 	Workers int
 	// InitialFlow, if non-nil, distributes each commodity's agents over its
 	// paths proportionally to this (feasible) flow vector instead of the
@@ -57,6 +57,10 @@ type Config struct {
 	// board latencies, sampling tables and flow buffers.
 	dynamics.RunShape
 }
+
+// defaultWorkers is the shard count when Config.Workers is 0: a constant, not
+// GOMAXPROCS, so a default run gives the same result on every machine.
+const defaultWorkers = 2
 
 // Sim is a configured simulation bound to an instance. Create with New, run
 // with Run.
@@ -89,7 +93,7 @@ func New(inst *flow.Instance, cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+		cfg.Workers = defaultWorkers
 	}
 	if cfg.Workers > cfg.N {
 		cfg.Workers = cfg.N

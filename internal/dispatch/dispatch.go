@@ -55,6 +55,16 @@ type Event struct {
 	Err     error
 }
 
+const (
+	// maxAttempts bounds the attempts per task across retries and node
+	// failures; a task out of attempts gets an error record, the campaign
+	// keeps going.
+	maxAttempts = 3
+	// baseBackoff is the first retry's backoff, doubled per attempt; a
+	// server Retry-After wins when longer.
+	baseBackoff = 250 * time.Millisecond
+)
+
 // Options configures a distributed run. The zero value is usable.
 type Options struct {
 	// Client performs the HTTP requests (default: a fresh client with no
@@ -62,13 +72,6 @@ type Options struct {
 	Client *http.Client
 	// Inflight is the number of concurrent tasks per worker (default 4).
 	Inflight int
-	// MaxAttempts bounds the attempts per task across retries and node
-	// failures (default 3); a task out of attempts gets an error record, the
-	// campaign keeps going.
-	MaxAttempts int
-	// Backoff is the base retry backoff, doubled per attempt (default 250ms);
-	// a server Retry-After wins when longer.
-	Backoff time.Duration
 	// Results, Canonical, Progress: as sweep.Options — a streaming JSONL
 	// sink (completion order), the canonical-form switch for that stream,
 	// and the per-record progress callback.
@@ -91,12 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Inflight <= 0 {
 		o.Inflight = 4
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 250 * time.Millisecond
 	}
 	return o
 }
@@ -446,13 +443,13 @@ func (co *coordinator) run(node int, u *unit) {
 			return
 		case vRetry:
 			u.attempts++
-			if u.attempts >= co.opts.MaxAttempts {
+			if u.attempts >= maxAttempts {
 				co.complete(u, u.spec.ErrorRecord(err))
 				return
 			}
 			co.met.retries.Inc()
 			co.event(Event{Kind: EventRetry, Node: co.workers[node], Attempt: u.attempts, Err: err})
-			if !co.sleep(backoff(co.opts.Backoff, u.attempts, retryAfter)) {
+			if !co.sleep(max(baseBackoff<<(u.attempts-1), retryAfter)) {
 				return
 			}
 			co.mu.Lock()
@@ -465,7 +462,7 @@ func (co *coordinator) run(node int, u *unit) {
 		case vNodeDead:
 			co.markDead(node, err)
 			u.attempts++
-			if u.attempts >= co.opts.MaxAttempts {
+			if u.attempts >= maxAttempts {
 				co.complete(u, u.spec.ErrorRecord(err))
 				return
 			}
@@ -485,15 +482,6 @@ func (co *coordinator) sleep(d time.Duration) bool {
 	case <-co.ctx.Done():
 		return false
 	}
-}
-
-// backoff is the exponential schedule, floored by the server's Retry-After.
-func backoff(base time.Duration, attempt int, retryAfter time.Duration) time.Duration {
-	d := base << (attempt - 1)
-	if retryAfter > d {
-		return retryAfter
-	}
-	return d
 }
 
 // attempt submits the unit's spec to the node once and classifies the

@@ -81,14 +81,14 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 // fewest, over runs calls after warm-up calls, that runtime.MemStats.Mallocs
 // counts around a call. Unlike testing.AllocsPerRun it counts at the
 // process's GOMAXPROCS; AllocsPerRun pins GOMAXPROCS to 1 while it counts,
-// which hides whatever a run sizes from GOMAXPROCS (the agents engine's
-// default worker count, for one). With several Ps the runtime's own pools add
-// allocations to some calls and not others: a goroutine descriptor when the
-// spawning P's free list is empty, until enough descriptors circulate
-// between the Ps. That takes longer on a loaded machine, so f warms up
-// three times and the fewest count is taken; an allocation the run itself
-// makes recurs in every call. The count covers the whole process, so no
-// test in this package runs in parallel with another.
+// which hides whatever a run sizes from GOMAXPROCS. With several Ps the
+// runtime's own pools add allocations to some calls and not others: a
+// goroutine descriptor when the spawning P's free list is empty, until
+// enough descriptors circulate between the Ps. That takes longer on a
+// loaded machine, so f warms up three times and the fewest count is taken;
+// an allocation the run itself makes recurs in every call. The count covers
+// the whole process, so no test in this package runs in parallel with
+// another.
 func mallocsPerRun(runs int, f func()) float64 {
 	for i := 0; i < 3; i++ {
 		f()

@@ -81,7 +81,7 @@ func newEngines() *catalog.Registry[Engine] {
 		Params: []catalog.Param{
 			{Name: "n", Type: "int", Doc: "population size (>= 1)"},
 			{Name: "seed", Type: "uint", Doc: "reproducibility seed"},
-			{Name: "workers", Type: "int", Doc: "simulation goroutines (0 = GOMAXPROCS)"},
+			{Name: "workers", Type: "int", Doc: "simulation goroutines (0 = two, on every machine)"},
 			{Name: "eventDriven", Type: "bool", Doc: "exact global event clock instead of per-phase batching"},
 		},
 		Build: func(raw json.RawMessage) (Engine, error) {

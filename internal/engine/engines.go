@@ -83,7 +83,8 @@ type Agents struct {
 	N int
 	// Seed makes runs reproducible for a fixed (Seed, Workers) pair.
 	Seed uint64
-	// Workers is the number of simulation goroutines (0 = GOMAXPROCS).
+	// Workers is the number of simulation goroutines (0 = two, on every
+	// machine: the shard split decides each agent's RNG stream).
 	Workers int
 	// EventDriven selects the exact global event clock instead of per-phase
 	// Poisson batching (single-threaded reference engine).
@@ -163,7 +164,7 @@ type Spec struct {
 	N int64 `json:"n,omitempty"`
 	// Seed seeds the stochastic engines (kind=agents or count).
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers is the goroutine count (kind=agents; 0 = GOMAXPROCS).
+	// Workers is the goroutine count (kind=agents; 0 = two).
 	Workers int `json:"workers,omitempty"`
 	// EventDriven selects the exact event clock (kind=agents).
 	EventDriven bool `json:"eventDriven,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -41,6 +42,34 @@ func TestPhaseLoopFence(t *testing.T) {
 	if len(mismatches) > 0 {
 		sort.Strings(mismatches)
 		t.Fatalf("%d of %d digests differ (got):\n%s", len(mismatches), len(fenceDigests), strings.Join(mismatches, "\n"))
+	}
+}
+
+// TestAgentsDefaultWorkersMachineIndependent runs the batched and the
+// event-driven agents engine with Workers left at 0 under GOMAXPROCS 1, 2
+// and 4. The shard split decides each agent's RNG stream, so a default that
+// followed the machine would make a run's result depend on it; every run
+// must reproduce the pinned two-worker digests instead.
+func TestAgentsDefaultWorkersMachineIndependent(t *testing.T) {
+	braess, err := topo.Braess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := mustReplicator(t, braess)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range []fenceEngine{
+			{"agents-w2", Agents{N: 400, Seed: 3}},
+			{"agents-event", Agents{N: 400, Seed: 3, EventDriven: true}},
+		} {
+			for _, mode := range fenceModes {
+				key := "braess/" + c.name + "/" + mode.name
+				if got, want := fenceDigest(t, braess, pol, c.engine, mode), fenceDigests[key]; got != want {
+					t.Errorf("GOMAXPROCS %d: %s with Workers 0 digests %s, want the two-worker %s", procs, key, got, want)
+				}
+			}
+		}
 	}
 }
 

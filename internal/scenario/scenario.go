@@ -14,12 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"wardrop/internal/catalog"
 	"wardrop/internal/engine"
 	"wardrop/internal/flow"
-	"wardrop/internal/policy"
 	"wardrop/internal/spec"
 	"wardrop/internal/sweep"
 	"wardrop/internal/timeline"
@@ -150,19 +148,16 @@ func (s *Spec) Validate() error {
 			return badScenario(err)
 		}
 	}
-	if _, err := engine.LookupStart(s.Start); err != nil {
-		return badScenario(err)
-	}
 	if err := s.Timeline.Validate(); err != nil {
 		return badScenario(err)
 	}
 	return nil
 }
 
-// validateShape checks the scalar run-shape fields and selector exclusivity
-// — everything that needs no catalog resolution. Scenario() repeats only
-// these cheap checks; the component resolutions it performs anyway surface
-// the rest.
+// validateShape checks selector exclusivity and the run shape (the check
+// campaigns share, start distribution included) — everything that needs no
+// instance. Scenario() repeats only these cheap checks; the component
+// resolutions it performs anyway surface the rest.
 func (s *Spec) validateShape() error {
 	if len(s.Instance) == 0 && s.Topology == nil {
 		return fmt.Errorf("%w: need an instance document or a topology selection", ErrBadScenario)
@@ -173,25 +168,9 @@ func (s *Spec) validateShape() error {
 	if s.period().Safe && s.Policy == nil {
 		return fmt.Errorf("%w: the safe update period requires a policy (give a numeric updatePeriod)", ErrBadScenario)
 	}
-	if math.IsNaN(s.Horizon) || math.IsInf(s.Horizon, 0) || math.IsNaN(s.Delta) || math.IsNaN(s.Eps) {
-		return fmt.Errorf("%w: horizon/delta/eps must be finite", ErrBadScenario)
-	}
-	if s.Horizon <= 0 && s.MaxPhases <= 0 {
-		return fmt.Errorf("%w: need horizon > 0 or maxPhases > 0", ErrBadScenario)
-	}
-	if s.MaxPhases < 0 {
-		return fmt.Errorf("%w: maxPhases %d must be >= 0", ErrBadScenario, s.MaxPhases)
-	}
-	if s.RecordEvery < 0 {
-		return fmt.Errorf("%w: recordEvery %d must be >= 0", ErrBadScenario, s.RecordEvery)
-	}
-	if s.Streak < 0 {
-		return fmt.Errorf("%w: streak %d must be >= 0", ErrBadScenario, s.Streak)
-	}
-	if s.Eps < 0 && s.Delta > 0 {
-		return fmt.Errorf("%w: eps %g must be >= 0 when delta accounting is enabled", ErrBadScenario, s.Eps)
-	}
-	return nil
+	shape := sweep.Shape{Horizon: s.Horizon, MaxPhases: s.MaxPhases, Start: s.Start, Delta: s.Delta, Eps: s.Eps,
+		Accounting: s.Delta > 0, Streak: s.Streak, RecordEvery: s.RecordEvery}
+	return shape.Validate(ErrBadScenario)
 }
 
 // validatePolicyFor rejects policy-less scenarios on engines that need one
@@ -217,22 +196,24 @@ func (s *Spec) Scenario() (engine.Scenario, error) {
 	if s.Timeline.NeedsProgram() {
 		return engine.Scenario{}, fmt.Errorf("%w: a timeline with schedules or events needs segmented execution — use Spec.Run", ErrBadScenario)
 	}
-	return s.materialize()
+	sc, _, err := s.materialize()
+	return sc, err
 }
 
-// materialize is Scenario() without the needs-program guard: it builds the
-// stationary engine.Scenario on the tolled instance, which is also the base
-// Spec.Run compiles a time-varying program against.
-func (s *Spec) materialize() (engine.Scenario, error) {
+// materialize builds the instance and resolves the run through sweep.Bind —
+// the binder campaign tasks use too — into the engine.Scenario on the tolled
+// instance, plus the compiled timeline program when the timeline has
+// schedules or events (nil otherwise).
+func (s *Spec) materialize() (engine.Scenario, *timeline.Program, error) {
 	if err := s.validateShape(); err != nil {
-		return engine.Scenario{}, err
+		return engine.Scenario{}, nil, err
 	}
 	eng, err := s.buildEngine()
 	if err != nil {
-		return engine.Scenario{}, badScenario(err)
+		return engine.Scenario{}, nil, badScenario(err)
 	}
 	if err := s.validatePolicyFor(eng); err != nil {
-		return engine.Scenario{}, err
+		return engine.Scenario{}, nil, err
 	}
 
 	var inst *flow.Instance
@@ -246,61 +227,17 @@ func (s *Spec) materialize() (engine.Scenario, error) {
 		}
 	}
 	if err != nil {
-		return engine.Scenario{}, badScenario(err)
+		return engine.Scenario{}, nil, badScenario(err)
 	}
 
-	// Tolls transform the instance once at t = 0; every downstream
-	// resolution — policy smoothness bounds, the safe update period, the
-	// start distribution, timeline compilation — must see the tolled
-	// latencies.
-	inst, err = timeline.ApplyTolls(s.Timeline, inst)
+	sc, prog, err := sweep.Bind(inst, s.Timeline, s.Policy, s.period(), s.Start, s.Horizon, s.MaxPhases)
 	if err != nil {
-		return engine.Scenario{}, badScenario(err)
+		return engine.Scenario{}, nil, badScenario(err)
 	}
-
-	var pol policy.Policy
-	if s.Policy != nil {
-		pol, err = s.Policy.Build(inst)
-		if err != nil {
-			return engine.Scenario{}, badScenario(err)
-		}
-	}
-
-	period := s.period()
-	T := period.T
-	if period.Safe {
-		T, err = policy.SafeUpdatePeriodFor(pol, inst.Beta(), inst.MaxPathLen())
-		if err != nil {
-			return engine.Scenario{}, badScenario(err)
-		}
-		if T <= 0 || math.IsInf(T, 0) || math.IsNaN(T) {
-			return engine.Scenario{}, fmt.Errorf("%w: degenerate safe period %g", ErrBadScenario, T)
-		}
-	}
-
-	horizon := s.Horizon
-	if s.MaxPhases > 0 {
-		horizon = float64(s.MaxPhases) * T
-	}
-
-	f0, err := engine.BuildStart(s.Start, inst)
-	if err != nil {
-		return engine.Scenario{}, badScenario(err)
-	}
-
-	return engine.Scenario{
-		Engine:                   eng,
-		Instance:                 inst,
-		Policy:                   pol,
-		UpdatePeriod:             T,
-		InitialFlow:              f0,
-		Horizon:                  horizon,
-		Delta:                    s.Delta,
-		Eps:                      s.Eps,
-		Weak:                     s.Weak,
-		StopAfterSatisfiedStreak: s.Streak,
-		RecordEvery:              s.RecordEvery,
-	}, nil
+	sc.Engine = eng
+	sc.Delta, sc.Eps, sc.Weak = s.Delta, s.Eps, s.Weak
+	sc.StopAfterSatisfiedStreak, sc.RecordEvery = s.Streak, s.RecordEvery
+	return sc, prog, nil
 }
 
 // Run materialises and executes the specification — the single execution
@@ -317,23 +254,13 @@ func (s *Spec) materialize() (engine.Scenario, error) {
 // segment from the spec's policy selection, so migration probabilities stay
 // well-conditioned when an event changes the instance's latency range.
 func (s *Spec) Run(ctx context.Context, onEvent func(timeline.AppliedEvent), opts ...engine.RunOption) (*engine.Result, []timeline.AppliedEvent, error) {
-	sc, err := s.materialize()
+	sc, prog, err := s.materialize()
 	if err != nil {
 		return nil, nil, err
 	}
-	if !s.Timeline.NeedsProgram() {
-		res, err := engine.Run(ctx, sc, opts...)
-		return res, nil, err
-	}
-	prog, err := timeline.Compile(s.Timeline, sc.Instance, sc.Horizon)
-	if err != nil {
-		return nil, nil, badScenario(err)
-	}
 	var buildPolicy timeline.PolicyBuilder
 	if s.Policy != nil {
-		buildPolicy = func(inst *flow.Instance) (policy.Policy, error) {
-			return s.Policy.Build(inst)
-		}
+		buildPolicy = s.Policy.Build
 	}
 	return timeline.Run(ctx, prog, sc, buildPolicy, onEvent, opts...)
 }

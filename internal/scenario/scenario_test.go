@@ -244,6 +244,31 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// The run-shape checks a scenario file shares with a campaign (and so with a
+// task spec) must reject the same values with the same message after each
+// front end's sentinel.
+func TestShapeChecksMatchCampaign(t *testing.T) {
+	for _, shape := range []string{
+		`"maxPhases": 0`,
+		`"horizon": 1, "maxPhases": -1`,
+		`"horizon": 1, "streak": -1`,
+		`"horizon": 1, "delta": 0.1, "eps": -1`,
+		`"horizon": 1, "start": "sideways"`,
+	} {
+		_, serr := Parse(strings.NewReader(`{"topology": {"family": "pigou"}, "policy": {"kind": "uniform"}, "updatePeriod": 1, ` + shape + `}`))
+		_, cerr := sweep.ParseCampaign(strings.NewReader(`{"topologies": [{"family": "pigou"}], "policies": [{"kind": "uniform"}], "updatePeriods": [1], ` + shape + `}`))
+		if serr == nil || cerr == nil {
+			t.Errorf("%s: scenario error %v, campaign error %v; want both rejected", shape, serr, cerr)
+			continue
+		}
+		smsg, _ := strings.CutPrefix(serr.Error(), ErrBadScenario.Error())
+		cmsg, _ := strings.CutPrefix(cerr.Error(), sweep.ErrBadCampaign.Error())
+		if smsg != cmsg {
+			t.Errorf("%s: scenario says %q, campaign %q", shape, serr, cerr)
+		}
+	}
+}
+
 // A structurally valid but unbuildable instance document (decodes fine,
 // fails construction) surfaces at Scenario() time, wrapped in the package
 // sentinel.
@@ -377,5 +402,65 @@ func TestTimelineFingerprintDistinct(t *testing.T) {
 	}
 	if fp1 == fp2 {
 		t.Fatal("timeline-bearing spec fingerprints like a stationary one")
+	}
+}
+
+// TestFrontEndsRunTheSameCell runs one cell through both declarative front
+// ends — a sweep task spec through sweep.RunTaskSpec and the equivalent
+// scenario file through Spec.Run — for every engine a campaign selects and
+// three timelines (stationary, tolls only, schedule plus event). Both resolve
+// the run through sweep.Bind, so they must agree bit for bit.
+func TestFrontEndsRunTheSameCell(t *testing.T) {
+	const (
+		cell   = `"topology": {"family": "braess"}, "policy": {"kind": "replicator"}, "maxPhases": 30, "delta": 0.2, "eps": 0.1, "streak": 5`
+		period = `"safe"` // Corollary 5 on Braess: T = 1/6, a 5-unit horizon
+	)
+	engines := []struct{ name, task, engine string }{
+		{"fluid", `"agents": 0`, `{"kind": "fluid", "integrator": "uniformization"}`},
+		{"agents", `"agents": 300`, `{"kind": "agents", "n": 300, "seed": 11, "workers": 1}`},
+		{"count", `"count": 100000`, `{"kind": "count", "n": 100000, "seed": 11}`},
+	}
+	timelines := []struct{ name, doc string }{
+		{"stationary", ``},
+		{"tolls", `, "timeline": {"tolls": [{"kind": "marginal"}]}`},
+		{"schedule+event", `, "timeline": {
+		  "schedules": [{"kind": "pwl", "times": [0, 2], "factors": [1, 0.5]}],
+		  "events": [{"at": 1, "action": "block", "from": "a", "to": "b", "penalty": 4}]}`},
+	}
+	for _, e := range engines {
+		for _, tl := range timelines {
+			t.Run(e.name+"/"+tl.name, func(t *testing.T) {
+				ts, err := sweep.ParseTaskSpec(strings.NewReader(`{` + cell + `, "period": ` + period + `, "seed": 11, ` + e.task + tl.doc + `}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, aborted := sweep.RunTaskSpec(context.Background(), ts, nil, nil)
+				if aborted || rec.Error != "" {
+					t.Fatalf("task spec: aborted %v, error %q", aborted, rec.Error)
+				}
+				s := parseSpec(t, `{`+cell+`, "updatePeriod": `+period+`, "engine": `+e.engine+tl.doc+`}`)
+				res, _, err := s.Run(context.Background(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Phases != res.Phases || rec.UnsatisfiedPhases != res.UnsatisfiedPhases || rec.Converged != res.Stopped ||
+					math.Float64bits(rec.FinalPotential) != math.Float64bits(res.FinalPotential) ||
+					math.Float64bits(rec.ElapsedSim) != math.Float64bits(res.Elapsed) {
+					t.Fatalf("task record phases=%d unsatisfied=%d converged=%v Φ=%v elapsed=%v; scenario phases=%d unsatisfied=%d stopped=%v Φ=%v elapsed=%v",
+						rec.Phases, rec.UnsatisfiedPhases, rec.Converged, rec.FinalPotential, rec.ElapsedSim,
+						res.Phases, res.UnsatisfiedPhases, res.Stopped, res.FinalPotential, res.Elapsed)
+				}
+				if s.Timeline.NeedsProgram() {
+					return
+				}
+				sc, err := s.Scenario()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(rec.T) != math.Float64bits(sc.UpdatePeriod) {
+					t.Fatalf("task record T = %v, scenario period %v", rec.T, sc.UpdatePeriod)
+				}
+			})
+		}
 	}
 }

@@ -96,7 +96,7 @@ func TestJobPanicIsolation(t *testing.T) {
 }
 
 // TestJobStreamBufferBounded pins the replay-buffer budget: a job that
-// emits more than MaxStreamBytes keeps streaming live, but the retained
+// emits more than its byte budget keeps streaming live, but the retained
 // replay window is trimmed from the front and late attachers are owed a
 // truncation marker. The terminal result line always survives.
 func TestJobStreamBufferBounded(t *testing.T) {

@@ -244,7 +244,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			_, _ = w.Write(body)
 			return
 		}
-		j := s.newJob(kindScenario, fp, context.Background())
+		j := newJob(kindScenario, fp, context.Background(), maxStreamBytes)
 		j.spec = spec
 		j.complete(body, true)
 		s.register(j)
@@ -254,7 +254,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	if async {
 		// Detached from the request: an async job outlives its submitter
 		// and is cancelled only by server shutdown.
-		j := s.newJob(kindScenario, fp, context.Background())
+		j := newJob(kindScenario, fp, context.Background(), maxStreamBytes)
 		j.spec = spec
 		j.trace = trace
 		s.register(j)
@@ -273,7 +273,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	// Synchronous: the job inherits the request context, so a client
 	// disconnect cancels the simulation between phases and frees the worker
 	// slot; the job is left failed for the audit trail.
-	j := s.newJob(kindScenario, fp, r.Context())
+	j := newJob(kindScenario, fp, r.Context(), maxStreamBytes)
 	j.spec = spec
 	j.trace = trace
 	s.register(j)
@@ -323,7 +323,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(body)
 		return
 	}
-	j := s.newJob(kindTask, fp, r.Context())
+	j := newJob(kindTask, fp, r.Context(), maxStreamBytes)
 	j.task = ts
 	s.register(j)
 	if err := s.submit(j); err != nil {
@@ -361,7 +361,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Fingerprint", fp)
-	j := s.newJob(kindCampaign, fp, context.Background())
+	j := newJob(kindCampaign, fp, context.Background(), maxStreamBytes)
 	j.campaign = c
 	if body, _, ok := s.cacheGet(kindCampaign, fp); ok {
 		j.complete(body, true)

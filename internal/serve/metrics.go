@@ -77,10 +77,11 @@ type metrics struct {
 	runMs, queueWaitMs, cacheLookupMs *obs.Histogram
 }
 
-func newMetrics(window int, reg *obs.Registry) *metrics {
-	if window <= 0 {
-		window = 512
-	}
+// latencyWindow is the sliding sample window, in jobs, for the /metrics
+// latency percentiles.
+const latencyWindow = 512
+
+func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -95,7 +96,7 @@ func newMetrics(window int, reg *obs.Registry) *metrics {
 		storeErrors:    reg.Counter("serve_store_errors_total", "durable-store read/write failures"),
 		queueHighWater: reg.Gauge("serve_queue_high_water", "deepest the job queue has ever been"),
 		running:        reg.Gauge("serve_jobs_running", "jobs currently executing"),
-		runMs:          reg.HistogramWindow("serve_run_ms", "job wall-clock latency, milliseconds", nil, window),
+		runMs:          reg.HistogramWindow("serve_run_ms", "job wall-clock latency, milliseconds", nil, latencyWindow),
 		queueWaitMs:    reg.Histogram("serve_queue_wait_ms", "time jobs wait for a worker, milliseconds", nil),
 		cacheLookupMs:  reg.Histogram("serve_cache_lookup_ms", "fingerprint lookup latency across cache tiers, milliseconds", nil),
 	}

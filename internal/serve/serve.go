@@ -43,9 +43,19 @@ var (
 	ErrDraining = errors.New("serve: draining")
 )
 
-// maxBodyBytes bounds request documents; a spec larger than this is not a
-// simulation request, it is an attack.
-const maxBodyBytes = 8 << 20
+const (
+	// maxBodyBytes bounds request documents; a spec larger than this is not
+	// a simulation request, it is an attack.
+	maxBodyBytes = 8 << 20
+	// maxJobs bounds the finished-job history retained for /v1/jobs; the
+	// oldest terminal jobs are evicted first.
+	maxJobs = 1024
+	// maxStreamBytes bounds each job's NDJSON replay buffer: a huge
+	// campaign keeps streaming live, but late attachers replay only the
+	// newest lines behind a {"truncated":true} marker, so terminal jobs
+	// cannot pin unbounded memory.
+	maxStreamBytes = 4 << 20
+)
 
 // Config parameterises a Server. The zero value is usable: every field has
 // a serving-appropriate default.
@@ -63,18 +73,6 @@ type Config struct {
 	// (default 1, keeping the server's worker pool the only concurrency
 	// authority; raise it on dedicated campaign servers).
 	CampaignWorkers int
-	// MaxJobs bounds the finished-job history retained for /v1/jobs
-	// (default 1024); the oldest terminal jobs are evicted first.
-	MaxJobs int
-	// MaxStreamBytes bounds each job's NDJSON replay buffer (default
-	// 4 MiB; negative for unbounded): a huge campaign keeps streaming live,
-	// but late attachers replay only the newest lines behind a
-	// {"truncated":true} marker, so terminal jobs cannot pin unbounded
-	// memory.
-	MaxStreamBytes int
-	// LatencyWindow is the sliding sample window for the /metrics latency
-	// percentiles (default 512 jobs).
-	LatencyWindow int
 	// Catalog supplies the /v1/catalog listing (default: every component
 	// registry, mirroring the root Catalog() aggregation).
 	Catalog func() []catalog.Description
@@ -103,15 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CampaignWorkers <= 0 {
 		c.CampaignWorkers = 1
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
-	}
-	if c.MaxStreamBytes == 0 {
-		c.MaxStreamBytes = 4 << 20
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 512
 	}
 	if c.Catalog == nil {
 		c.Catalog = defaultCatalog
@@ -152,7 +141,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
 		cache:     newTieredCache(cfg.CacheEntries, cfg.Store),
-		met:       newMetrics(cfg.LatencyWindow, cfg.Metrics),
+		met:       newMetrics(cfg.Metrics),
 		instCache: sweep.NewInstanceCache(),
 		queue:     make(chan *job, cfg.QueueDepth),
 		jobs:      make(map[string]*job),
@@ -194,11 +183,6 @@ func (s *Server) routes() {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// newJob builds a job carrying the server's stream-buffer budget.
-func (s *Server) newJob(kind, fingerprint string, parent context.Context) *job {
-	return newJob(kind, fingerprint, parent, s.cfg.MaxStreamBytes)
 }
 
 // EngineRuns reports the number of simulation runs executed so far — the
@@ -255,11 +239,11 @@ func (s *Server) register(j *job) {
 	j.id = fmt.Sprintf("j%08d", s.nextID)
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
-	if len(s.jobOrder) <= s.cfg.MaxJobs {
+	if len(s.jobOrder) <= maxJobs {
 		return
 	}
 	kept := s.jobOrder[:0]
-	excess := len(s.jobOrder) - s.cfg.MaxJobs
+	excess := len(s.jobOrder) - maxJobs
 	for _, id := range s.jobOrder {
 		if excess > 0 {
 			if old := s.jobs[id]; old != nil {

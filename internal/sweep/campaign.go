@@ -509,21 +509,10 @@ func (c *Campaign) Validate() error {
 	if c.Seeds < 0 {
 		return fmt.Errorf("%w: seeds %d must be >= 0", ErrBadCampaign, c.Seeds)
 	}
-	if math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0) || math.IsNaN(c.Delta) || math.IsNaN(c.Eps) {
-		return fmt.Errorf("%w: horizon/delta/eps must be finite", ErrBadCampaign)
-	}
-	// Fail fast on the engine-level rejection every task would hit anyway.
-	if c.Eps < 0 && (c.Delta > 0 || len(c.Deltas) > 0) {
-		return fmt.Errorf("%w: eps %g must be >= 0 when delta accounting is enabled", ErrBadCampaign, c.Eps)
-	}
-	if c.Horizon <= 0 && c.MaxPhases <= 0 {
-		return fmt.Errorf("%w: need horizon > 0 or maxPhases > 0", ErrBadCampaign)
-	}
-	if c.MaxPhases < 0 {
-		return fmt.Errorf("%w: maxPhases %d must be >= 0", ErrBadCampaign, c.MaxPhases)
-	}
-	if _, err := engine.LookupStart(c.Start); err != nil {
-		return badCampaign(err)
+	shape := Shape{Horizon: c.Horizon, MaxPhases: c.MaxPhases, Start: c.Start, Delta: c.Delta, Eps: c.Eps,
+		Accounting: c.Delta > 0 || len(c.Deltas) > 0, Streak: c.Streak}
+	if err := shape.Validate(ErrBadCampaign); err != nil {
+		return err
 	}
 	for _, d := range c.Deltas {
 		if d <= 0 {
@@ -534,6 +523,49 @@ func (c *Campaign) Validate() error {
 		if err := c.Timelines[i].Validate(); err != nil {
 			return fmt.Errorf("timelines[%d]: %w", i, err)
 		}
+	}
+	return nil
+}
+
+// Shape is the run shape every declarative run carries: a campaign's
+// scalars (which its task specs copy) or a scenario file's fields.
+type Shape struct {
+	Horizon   float64
+	MaxPhases int
+	Start     string
+	Delta     float64
+	Eps       float64
+	// Accounting reports (δ,ε) accounting enabled: a positive Delta, or a
+	// campaign's deltas axis.
+	Accounting  bool
+	Streak      int
+	RecordEvery int
+}
+
+// Validate is the one parse-time check of the run shape, so campaigns, task
+// specs and scenario files reject the same values with the same message
+// after the caller's sentinel (ErrBadCampaign, or the scenario package's).
+func (s Shape) Validate(sentinel error) error {
+	if math.IsNaN(s.Horizon) || math.IsInf(s.Horizon, 0) || math.IsNaN(s.Delta) || math.IsNaN(s.Eps) {
+		return fmt.Errorf("%w: horizon/delta/eps must be finite", sentinel)
+	}
+	if s.Horizon <= 0 && s.MaxPhases <= 0 {
+		return fmt.Errorf("%w: need horizon > 0 or maxPhases > 0", sentinel)
+	}
+	if s.MaxPhases < 0 {
+		return fmt.Errorf("%w: maxPhases %d must be >= 0", sentinel, s.MaxPhases)
+	}
+	if s.RecordEvery < 0 {
+		return fmt.Errorf("%w: recordEvery %d must be >= 0", sentinel, s.RecordEvery)
+	}
+	if s.Streak < 0 {
+		return fmt.Errorf("%w: streak %d must be >= 0", sentinel, s.Streak)
+	}
+	if s.Eps < 0 && s.Accounting {
+		return fmt.Errorf("%w: eps %g must be >= 0 when delta accounting is enabled", sentinel, s.Eps)
+	}
+	if _, err := engine.LookupStart(s.Start); err != nil {
+		return catalog.WrapSentinel(sentinel, err)
 	}
 	return nil
 }

@@ -118,6 +118,7 @@ func TestParseCampaignErrors(t *testing.T) {
 		"custom no doc":     `{"topologies": [{"family":"custom"}], "policies": [{"kind":"uniform"}], "updatePeriods": [1], "horizon": 1}`,
 		"negative eps":      `{"topologies": [{"family":"pigou"}], "policies": [{"kind":"uniform"}], "updatePeriods": [1], "horizon": 1, "delta": 0.1, "eps": -1}`,
 		"negative eps axis": `{"topologies": [{"family":"pigou"}], "policies": [{"kind":"uniform"}], "updatePeriods": [1], "horizon": 1, "deltas": [0.1], "eps": -1}`,
+		"negative streak":   `{"topologies": [{"family":"pigou"}], "policies": [{"kind":"uniform"}], "updatePeriods": [1], "horizon": 1, "streak": -1}`,
 	}
 	for name, doc := range cases {
 		if _, err := ParseCampaign(strings.NewReader(doc)); err == nil {

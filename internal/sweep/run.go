@@ -337,43 +337,11 @@ func runTask(ctx context.Context, c *Campaign, t Task, cache *sync.Map, ws *flow
 	if entry.err != nil {
 		return errorRecord(t, entry.err)
 	}
-	inst := entry.inst
-
-	// Tolls transform the instance once at t = 0, before any downstream
-	// resolution (policy smoothness, safe period, start distribution);
-	// schedules and events compile into a segmented program below. A
-	// stationary task passes through unchanged.
 	var tl *timeline.Spec
 	if t.Timeline != nil {
 		tl = &t.Timeline.Spec
 	}
-	inst, err := timeline.ApplyTolls(tl, inst)
-	if err != nil {
-		return errorRecord(t, err)
-	}
-
-	pol, err := t.Policy.Build(inst)
-	if err != nil {
-		return errorRecord(t, err)
-	}
-
-	T := t.Period.T
-	if t.Period.Safe {
-		T, err = policy.SafeUpdatePeriodFor(pol, inst.Beta(), inst.MaxPathLen())
-		if err != nil {
-			return errorRecord(t, err)
-		}
-		if T <= 0 || math.IsInf(T, 0) || math.IsNaN(T) {
-			return errorRecord(t, fmt.Errorf("sweep: degenerate safe period %g", T))
-		}
-	}
-
-	horizon := c.Horizon
-	if c.MaxPhases > 0 {
-		horizon = float64(c.MaxPhases) * T
-	}
-
-	f0, err := startFlow(inst, c.Start)
+	sc, prog, err := Bind(entry.inst, tl, &t.Policy, t.Period, c.Start, c.Horizon, c.MaxPhases)
 	if err != nil {
 		return errorRecord(t, err)
 	}
@@ -384,46 +352,23 @@ func runTask(ctx context.Context, c *Campaign, t Task, cache *sync.Map, ws *flow
 	// Counts cells. The (δ,ε) round accounting and the satisfied-streak
 	// stop are native to all of them, so every cell reports the same
 	// quantities without any hook emulation here.
-	var eng engine.Engine = engine.Fluid{Integrator: dynamics.Uniformization}
+	sc.Engine = engine.Fluid{Integrator: dynamics.Uniformization}
 	if t.Count > 0 {
-		eng = engine.Count{N: t.Count, Seed: t.Seed}
+		sc.Engine = engine.Count{N: t.Count, Seed: t.Seed}
 	} else if t.Agents > 0 {
-		eng = engine.Agents{N: t.Agents, Seed: t.Seed, Workers: 1}
+		sc.Engine = engine.Agents{N: t.Agents, Seed: t.Seed, Workers: 1}
 	}
-	sc := engine.Scenario{
-		Engine:                   eng,
-		Instance:                 inst,
-		Policy:                   pol,
-		UpdatePeriod:             T,
-		InitialFlow:              f0,
-		Horizon:                  horizon,
-		Delta:                    t.Delta,
-		Eps:                      c.Eps,
-		Weak:                     c.Weak,
-		StopAfterSatisfiedStreak: c.Streak,
-	}
-	var res *engine.Result
-	finalInst := inst
-	if tl.NeedsProgram() {
-		// Time-varying cell: compile the timeline against the tolled
-		// instance and replay it segment by segment (the policy is rebuilt
-		// per segment, as events change the instance's latency range).
-		prog, perr := timeline.Compile(tl, inst, horizon)
-		if perr != nil {
-			return errorRecord(t, perr)
-		}
-		res, _, err = timeline.Run(ctx, prog, sc, func(segInst *flow.Instance) (policy.Policy, error) {
-			return t.Policy.Build(segInst)
-		}, nil, engine.WithWorkspace(ws))
-		finalInst = prog.Segments[len(prog.Segments)-1].Instance
-	} else {
-		res, err = engine.Run(ctx, sc, engine.WithWorkspace(ws))
-	}
+	sc.Delta, sc.Eps, sc.Weak, sc.StopAfterSatisfiedStreak = t.Delta, c.Eps, c.Weak, c.Streak
+	res, _, err := timeline.Run(ctx, prog, sc, t.Policy.Build, nil, engine.WithWorkspace(ws))
 	if err != nil {
 		if engine.IsCancellation(err) {
 			return Record{aborted: true}
 		}
 		return errorRecord(t, err)
+	}
+	finalInst := sc.Instance
+	if prog != nil {
+		finalInst = prog.Segments[len(prog.Segments)-1].Instance
 	}
 
 	// The reference potential must match the instance the final flow lives
@@ -444,7 +389,7 @@ func runTask(ctx context.Context, c *Campaign, t Task, cache *sync.Map, ws *flow
 		Topology:  t.topologyLabel(),
 		Policy:    t.policyLabel(),
 		Period:    t.Period.String(),
-		T:         T,
+		T:         sc.UpdatePeriod,
 		Agents:    t.Agents,
 		Count:     t.Count,
 		Delta:     t.Delta,
@@ -508,12 +453,47 @@ func instanceFor(t Task, cache *sync.Map) *instEntry {
 	return entry
 }
 
-// startFlow builds the campaign's initial flow on an instance through the
-// start-distribution catalog.
-func startFlow(inst *flow.Instance, start string) (flow.Vector, error) {
-	f, err := engine.BuildStart(start, inst)
+// Bind resolves one declarative run on its base instance: the one place
+// campaign tasks, task specs and scenario files turn their document into an
+// engine.Scenario. The timeline's tolls transform inst first, so the policy
+// (none when pol is nil), the period (Corollary 5's when period.Safe), the
+// horizon (maxPhases·T when maxPhases > 0) and the start flow all see the
+// tolled latencies. A timeline with schedules or events also compiles into
+// a program over that horizon, for timeline.Run; otherwise the program is
+// nil. Callers set the engine and the run shape on the returned scenario.
+func Bind(inst *flow.Instance, tl *timeline.Spec, pol *PolicySpec, period Period, start string, horizon float64, maxPhases int) (engine.Scenario, *timeline.Program, error) {
+	inst, err := timeline.ApplyTolls(tl, inst)
 	if err != nil {
-		return nil, badCampaign(err)
+		return engine.Scenario{}, nil, err
 	}
-	return f, nil
+	sc := engine.Scenario{Instance: inst, UpdatePeriod: period.T, Horizon: horizon}
+	if pol != nil {
+		if sc.Policy, err = pol.Build(inst); err != nil {
+			return engine.Scenario{}, nil, err
+		}
+	}
+	if period.Safe {
+		T, err := policy.SafeUpdatePeriodFor(sc.Policy, inst.Beta(), inst.MaxPathLen())
+		if err != nil {
+			return engine.Scenario{}, nil, err
+		}
+		if T <= 0 || math.IsInf(T, 0) || math.IsNaN(T) {
+			return engine.Scenario{}, nil, fmt.Errorf("sweep: degenerate safe period %g", T)
+		}
+		sc.UpdatePeriod = T
+	}
+	if maxPhases > 0 {
+		sc.Horizon = float64(maxPhases) * sc.UpdatePeriod
+	}
+	if sc.InitialFlow, err = engine.BuildStart(start, inst); err != nil {
+		return engine.Scenario{}, nil, badCampaign(err)
+	}
+	if !tl.NeedsProgram() {
+		return sc, nil, nil
+	}
+	prog, err := timeline.Compile(tl, inst, sc.Horizon)
+	if err != nil {
+		return engine.Scenario{}, nil, err
+	}
+	return sc, prog, nil
 }

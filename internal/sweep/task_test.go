@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -115,9 +116,12 @@ func TestParseTaskSpecRejectsBadDocuments(t *testing.T) {
 		`{"topology":{"family":"nope"},"policy":{"kind":"uniform"},"period":1,"horizon":1}`,                       // unknown family
 		`{"topology":{"family":"pigou"},"policy":{"kind":"uniform"},"period":1,"horizon":1,"bogus":3}`,            // unknown field
 		`{"topology":{"family":"pigou"},"policy":{"kind":"uniform"},"period":1,"horizon":1,"agents":5,"count":5}`, // both populations
+		`{"topology":{"family":"pigou"},"policy":{"kind":"uniform"},"period":1,"horizon":1,"streak":-1}`,          // negative streak
 	} {
 		if _, err := ParseTaskSpec(strings.NewReader(doc)); err == nil {
 			t.Errorf("accepted %s", doc)
+		} else if !errors.Is(err, ErrBadCampaign) {
+			t.Errorf("%s: error %v does not wrap ErrBadCampaign", doc, err)
 		}
 	}
 }

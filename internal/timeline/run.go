@@ -41,9 +41,14 @@ type PolicyBuilder func(*flow.Instance) (policy.Policy, error)
 // The scenario's Instance and Horizon are taken from the program; Delta,
 // Eps and Weak accounting runs per segment against that segment's instance.
 // On cancellation the partial aggregate accumulated so far is returned with
-// the context error, mirroring engine.Run.
+// the context error, mirroring engine.Run. A nil program is a stationary
+// run: Run returns engine.Run(ctx, sc, opts...) and no events.
 func Run(ctx context.Context, prog *Program, sc engine.Scenario, buildPolicy PolicyBuilder, onEvent func(AppliedEvent), opts ...engine.RunOption) (*engine.Result, []AppliedEvent, error) {
-	if prog == nil || len(prog.Segments) == 0 {
+	if prog == nil {
+		res, err := engine.Run(ctx, sc, opts...)
+		return res, nil, err
+	}
+	if len(prog.Segments) == 0 {
 		return nil, nil, badTimeline(fmt.Errorf("empty program"))
 	}
 	if ctx == nil {

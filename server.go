@@ -22,7 +22,7 @@ import (
 type Server = serve.Server
 
 // ServerConfig parameterises a Server (pool width, queue depth, cache size,
-// job history, catalog source); the zero value uses serving defaults.
+// catalog source); the zero value uses serving defaults.
 type ServerConfig = serve.Config
 
 // ServerMetrics is the JSON body of the service's GET /metrics endpoint.
