@@ -281,3 +281,63 @@ func TestHealthzReadiness(t *testing.T) {
 		t.Fatalf("draining healthz = %d %+v", resp.StatusCode, h)
 	}
 }
+
+// TestEpochBumpMissesAndRecomputes pins the result epoch: a server whose
+// cache runs one epoch later misses the result a previous epoch stored,
+// recomputes it, stores it again under the new key and answers the same
+// fingerprint.
+func TestEpochBumpMissesAndRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, ts1 := newTestServer(t, Config{Workers: 1, Store: st1})
+	resp, want := postJSON(t, ts1.URL+"/v1/scenarios", pigouQuickDoc)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, want)
+	}
+	fp := resp.Header.Get("X-Fingerprint")
+	if runs := s1.EngineRuns(); runs != 1 {
+		t.Fatalf("first server EngineRuns = %d, want 1", runs)
+	}
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newTestServer(t, Config{Workers: 1, Store: st2})
+	s2.cache.epoch = resultEpoch + 1
+	resp, body := postJSON(t, ts2.URL+"/v1/scenarios", pigouQuickDoc)
+	if got := resp.Header.Get("X-Cache"); got != TierMiss {
+		t.Fatalf("bumped epoch X-Cache = %q, want %s", got, TierMiss)
+	}
+	if got := resp.Header.Get("X-Fingerprint"); got != fp {
+		t.Fatalf("X-Fingerprint = %q after the bump, want %q", got, fp)
+	}
+	if string(body) != string(want) {
+		t.Fatal("recomputed result differs from the stored one")
+	}
+	if runs := s2.EngineRuns(); runs != 1 {
+		t.Fatalf("bumped server EngineRuns = %d, want 1", runs)
+	}
+	var m Metrics
+	getJSON(t, ts2.URL+"/metrics", &m)
+	if m.StoreHits != 0 || m.StorePuts != 1 || m.StoreObjects != 2 {
+		t.Fatalf("store after the bump: hits=%d puts=%d objects=%d, want 0/1/2", m.StoreHits, m.StorePuts, m.StoreObjects)
+	}
+
+	// A restarted server at the bumped epoch finds the new object.
+	st3, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3, ts3 := newTestServer(t, Config{Workers: 1, Store: st3})
+	s3.cache.epoch = resultEpoch + 1
+	if resp, _ = postJSON(t, ts3.URL+"/v1/scenarios", pigouQuickDoc); resp.Header.Get("X-Cache") != TierHitStore {
+		t.Fatalf("restart at the bumped epoch X-Cache = %q, want %s", resp.Header.Get("X-Cache"), TierHitStore)
+	}
+	if runs := s3.EngineRuns(); runs != 0 {
+		t.Fatalf("restart at the bumped epoch EngineRuns = %d, want 0", runs)
+	}
+}

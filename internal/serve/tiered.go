@@ -1,10 +1,20 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"strconv"
 
 	"wardrop/internal/store"
 )
+
+// resultEpoch versions every cached result. Both cache tiers key a result
+// by the epoch and the document's fingerprint, so a change that alters the
+// bytes an unchanged document produces bumps it, and results cached or
+// stored before the change become misses that are computed again. The
+// fingerprint a response reports does not include it.
+const resultEpoch = 1
 
 // Cache tiers as reported in the X-Cache response header: an in-memory LRU
 // hit, a durable-store hit (promoted into the LRU on the way out), or a miss
@@ -24,10 +34,18 @@ const (
 type tieredCache struct {
 	lru   *lru
 	store *store.Store
+	epoch int
 }
 
 func newTieredCache(entries int, st *store.Store) *tieredCache {
-	return &tieredCache{lru: newLRU(entries), store: st}
+	return &tieredCache{lru: newLRU(entries), store: st, epoch: resultEpoch}
+}
+
+// key folds the cache's epoch into a fingerprint: the lowercase-hex
+// SHA-256 of "<epoch>:<fingerprint>", which is also a valid store key.
+func (c *tieredCache) key(fp string) string {
+	sum := sha256.Sum256([]byte(strconv.Itoa(c.epoch) + ":" + fp))
+	return hex.EncodeToString(sum[:])
 }
 
 // Get looks the fingerprint up through the tiers. tier is TierHit or
@@ -35,20 +53,21 @@ func newTieredCache(entries int, st *store.Store) *tieredCache {
 // read problem (corruption — already quarantined by the store — or IO),
 // which callers count and then treat as a miss.
 func (c *tieredCache) Get(kind, fp string) (body []byte, tier string, err error) {
-	if body, ok := c.lru.Get(kind + ":" + fp); ok {
+	key := c.key(fp)
+	if body, ok := c.lru.Get(kind + ":" + key); ok {
 		return body, TierHit, nil
 	}
 	if c.store == nil {
 		return nil, TierMiss, nil
 	}
-	body, err = c.store.Get(fp)
+	body, err = c.store.Get(key)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
 			return nil, TierMiss, nil
 		}
 		return nil, TierMiss, err
 	}
-	c.lru.Add(kind+":"+fp, body)
+	c.lru.Add(kind+":"+key, body)
 	return body, TierHitStore, nil
 }
 
@@ -56,11 +75,12 @@ func (c *tieredCache) Get(kind, fp string) (body []byte, tier string, err error)
 // durable-tier write failure; the in-memory tier has already been updated,
 // so the server keeps serving either way.
 func (c *tieredCache) Add(kind, fp string, body []byte) error {
-	c.lru.Add(kind+":"+fp, body)
+	key := c.key(fp)
+	c.lru.Add(kind+":"+key, body)
 	if c.store == nil {
 		return nil
 	}
-	return c.store.Put(fp, body)
+	return c.store.Put(key, body)
 }
 
 // Len reports the in-memory tier's population.
