@@ -148,42 +148,6 @@ func TestStaleReplicatorConvergesAtSafeT(t *testing.T) {
 	}
 }
 
-// Lemma 4: per-phase potential change obeys ΔΦ ≤ ½V at the safe period, and
-// Lemma 3's identity holds exactly.
-func TestLemma3And4AccountingOnBraess(t *testing.T) {
-	inst := mustBraess(t)
-	pol := mustReplicator(t, inst.LMax())
-	safeT, err := policy.SafeUpdatePeriodFor(pol, inst.Beta(), inst.MaxPathLen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	acct := NewAccountant(inst)
-	cfg := Config{
-		Policy:       pol,
-		UpdatePeriod: safeT,
-		Horizon:      60 * safeT,
-		Integrator:   Uniformization,
-		RunShape:     RunShape{Observer: acct},
-	}
-	if _, err := Run(context.Background(), inst, cfg, inst.UniformFlow()); err != nil {
-		t.Fatal(err)
-	}
-	if len(acct.Accounts) < 10 {
-		t.Fatalf("too few accounted phases: %d", len(acct.Accounts))
-	}
-	for _, a := range acct.Accounts {
-		if math.Abs(a.Lemma3Residual()) > 1e-8 {
-			t.Errorf("phase %d: Lemma 3 residual %g", a.Phase, a.Lemma3Residual())
-		}
-		if !a.Lemma4Holds(1e-9) {
-			t.Errorf("phase %d: ΔΦ=%g > V/2=%g", a.Phase, a.DeltaPhi, 0.5*a.VirtualGain)
-		}
-		if a.VirtualGain > 1e-12 {
-			t.Errorf("phase %d: positive virtual gain %g", a.Phase, a.VirtualGain)
-		}
-	}
-}
-
 // §3.2: best response on the two-link kink instance oscillates with period
 // 2T from the paper's initial condition and never converges.
 func TestBestResponseOscillatesOnKink(t *testing.T) {
