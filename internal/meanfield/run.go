@@ -7,6 +7,7 @@ import (
 	"wardrop/internal/agents"
 	"wardrop/internal/dynamics"
 	"wardrop/internal/flow"
+	"wardrop/internal/policy"
 )
 
 // RunContext simulates until the horizon (or an observer stop) and returns
@@ -64,23 +65,14 @@ func (r *countRun) Advance(_ context.Context, tau float64, pl []float64) bool {
 
 // fillRates derives the one-activation migration rates from the board's
 // sampling tables and the path latencies pl: rates[i][p·n+q] = P(sample
-// q)·P(accept the migration) for q ≠ p.
+// q)·P(accept the migration) for q ≠ p, one batch-kernel row per origin.
 func (r *countRun) fillRates(pl []float64) {
 	mig := r.cfg.Policy.Migrator
 	for i, tab := range r.board.Tables {
 		lo, hi := r.inst.CommodityRange(i)
 		n := hi - lo
-		lats := pl[lo:hi]
 		for p := 0; p < n; p++ {
-			row := tab[p*n : (p+1)*n]
-			out := r.rates[i][p*n : (p+1)*n]
-			for q := 0; q < n; q++ {
-				if q == p || row[q] <= 0 {
-					out[q] = 0
-					continue
-				}
-				out[q] = row[q] * mig.Probability(lats[p], lats[q])
-			}
+			policy.MigrationRates(mig, p, pl[lo:hi], tab[p*n:(p+1)*n], r.rates[i][p*n:(p+1)*n])
 		}
 	}
 }
