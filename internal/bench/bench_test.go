@@ -9,7 +9,8 @@ import (
 )
 
 // TestReferenceFluidMatchesKernel pins the benchmark's two sides to each
-// other: the seed pipeline copy and the rebuilt engine must produce the
+// other: on Grid(4), whose 20 paths stay on the fluid engine's dense rate
+// matrix, the seed pipeline copy and the rebuilt engine must produce the
 // same final potential bit-for-bit — the kernel is a drop-in replacement,
 // not an approximation.
 func TestReferenceFluidMatchesKernel(t *testing.T) {

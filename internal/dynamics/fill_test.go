@@ -88,15 +88,16 @@ func TestCustomPolicyStaysSequential(t *testing.T) {
 		{Sampler: originBiased{}, Migrator: serial},        // custom sampler path
 	} {
 		t.Run(pol.Sampler.Name(), func(t *testing.T) {
-			rm := newRateMatrix(inst, nil)
+			rm := newRateMatrix(inst, nil, pol, orderedMinPaths)
 			rm.fill(pol, f, pl)
 			if serial.bad {
 				t.Fatal("custom migrator evaluated concurrently")
 			}
 			// And the produced rates must match the builtin migrator's
 			// (serialOnlyMigrator only wraps) through the generic kernels.
-			want := newRateMatrix(inst, nil)
-			want.fill(policy.Policy{Sampler: pol.Sampler, Migrator: mig}, f, pl)
+			builtin := policy.Policy{Sampler: pol.Sampler, Migrator: mig}
+			want := denseRates(inst, builtin)
+			want.fill(builtin, f, pl)
 			got := rm
 			assertRateMatrixEqual(t, want, got)
 		})
@@ -113,10 +114,10 @@ func TestSharedFillMatchesScatterFill(t *testing.T) {
 	f := inst.UniformFlow()
 	pl := inst.PathLatencies(f)
 
-	fast := newRateMatrix(inst, nil)
+	fast := denseRates(inst, pol)
 	fast.fill(pol, f, pl)
 
-	slow := newRateMatrix(inst, nil)
+	slow := denseRates(inst, pol)
 	for i := 0; i < inst.NumCommodities(); i++ {
 		lo, hi := inst.CommodityRange(i)
 		if m := slow.fillRows(pol, i, hi-lo, f[lo:hi], pl[lo:hi]); m > slow.maxRate {

@@ -34,7 +34,7 @@ func Run(ctx context.Context, inst *flow.Instance, cfg Config, f0 flow.Vector) (
 	s := &fluid{
 		evalBoard: board,
 		inst:      inst,
-		rm:        newRateMatrix(inst, ws),
+		rm:        newRateMatrix(inst, ws, cfg.Policy, orderedMinPaths),
 		pol:       cfg.Policy,
 		integ:     cfg.Integrator,
 		step:      cfg.Step,
@@ -121,7 +121,7 @@ func RunFresh(ctx context.Context, inst *flow.Instance, cfg Config, f0 flow.Vect
 	s := &fresh{
 		evalBoard: board,
 		inst:      inst,
-		rm:        newRateMatrix(inst, ws),
+		rm:        newRateMatrix(inst, ws, cfg.Policy, orderedMinPaths),
 		pol:       cfg.Policy,
 		integ:     cfg.Integrator,
 		df:        ws.Floats(n),

@@ -1,10 +1,12 @@
 package dynamics
 
 // The fluid integrators call rateMatrix.derivative four times per RK4
-// step, so it sweeps four target rows at once. These tests pin it bit for
-// bit to the row-at-a-time loop it replaced, kept here as the oracle, on
-// random rate matrices over every commodity size 1–9 (each remainder mod
-// 4), on multi-commodity instances and on the 6×6 grid's real rates.
+// step, so its dense path sweeps four target rows at once. These tests pin
+// it bit for bit to the row-at-a-time loop it replaced, kept here as the
+// oracle, on random rate matrices over every commodity size 1–9 (each
+// remainder mod 4), on multi-commodity instances and on the grids' real
+// rates, with the ordered kernel switched off so the grids above the
+// crossover keep pinning the dense loop.
 
 import (
 	"fmt"
@@ -14,6 +16,7 @@ import (
 	"wardrop/internal/flow"
 	"wardrop/internal/graph"
 	"wardrop/internal/latency"
+	"wardrop/internal/policy"
 	"wardrop/internal/topo"
 )
 
@@ -98,9 +101,14 @@ func assertDerivativeBits(t *testing.T, rm *rateMatrix, f flow.Vector) {
 	}
 }
 
+// denseRates sizes a rate matrix that keeps every commodity dense.
+func denseRates(inst *flow.Instance, pol policy.Policy) *rateMatrix {
+	return newRateMatrix(inst, nil, pol, math.MaxInt)
+}
+
 func TestDerivativeMatchesRowwiseOnRandomRates(t *testing.T) {
 	inst := commoditySizes(t, 9)
-	rm := newRateMatrix(inst, nil)
+	rm := denseRates(inst, policy.Policy{})
 	rng := &topo.SplitMix{State: 0xd1ff}
 	for trial := 0; trial < 200; trial++ {
 		f := randomize(rm, rng)
@@ -128,7 +136,7 @@ func TestDerivativeMatchesRowwiseOnFilledRates(t *testing.T) {
 	for name, inst := range insts {
 		t.Run(name, func(t *testing.T) {
 			pol := mustReplicator(t, inst.LMax())
-			rm := newRateMatrix(inst, nil)
+			rm := denseRates(inst, pol)
 			rng := &topo.SplitMix{State: 5}
 			for trial := 0; trial < 10; trial++ {
 				f := make(flow.Vector, inst.NumPaths())
@@ -150,21 +158,54 @@ func TestDerivativeMatchesRowwiseOnFilledRates(t *testing.T) {
 	}
 }
 
-// BenchmarkRateDerivative times one derivative call on the 252-path 6×6
-// grid: the inner loop of every fluid phase (four calls per RK4 step).
+// rateBenchSizes are the commodity sizes of the kernel benchmarks.
+var rateBenchSizes = []int{4, 8, 12, 16, 24, 32, 48, 64, 128, 252, 1024}
+
+// benchRates runs body on one commodity of n parallel links under the
+// replicator, from a skewed board, with the ordered kernel and with the
+// dense matrix.
+func benchRates(b *testing.B, body func(b *testing.B, rm *rateMatrix, pol policy.Policy, f flow.Vector, lats []float64)) {
+	for _, n := range rateBenchSizes {
+		inst, err := topo.LinearParallelLinks(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pol := mustReplicator(b, inst.LMax())
+		f := skewed(inst)
+		lats := inst.PathLatencies(f)
+		for _, side := range []struct {
+			name       string
+			minOrdered int
+		}{{"ordered", 1}, {"dense", math.MaxInt}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, side.name), func(b *testing.B) {
+				rm := newRateMatrix(inst, nil, pol, side.minOrdered)
+				rm.fill(pol, f, lats)
+				b.ReportAllocs()
+				b.ResetTimer()
+				body(b, rm, pol, f, lats)
+			})
+		}
+	}
+}
+
+// BenchmarkRateDerivative times one derivative call, the inner loop of
+// every fluid phase (four calls per RK4 step), and BenchmarkRateFill one
+// fill, paid once per stale phase and once per fresh derivative.
+// orderedMinPaths is read off the two tables: the smallest size at which
+// the ordered side wins both.
 func BenchmarkRateDerivative(b *testing.B) {
-	inst, err := topo.Grid(6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pol := mustReplicator(b, inst.LMax())
-	f := inst.UniformFlow()
-	rm := newRateMatrix(inst, nil)
-	rm.fill(pol, f, inst.PathLatencies(f))
-	df := make([]float64, len(f))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rm.derivative(f, df)
-	}
+	benchRates(b, func(b *testing.B, rm *rateMatrix, _ policy.Policy, f flow.Vector, _ []float64) {
+		df := make([]float64, len(f))
+		for i := 0; i < b.N; i++ {
+			rm.derivative(f, df)
+		}
+	})
+}
+
+func BenchmarkRateFill(b *testing.B) {
+	benchRates(b, func(b *testing.B, rm *rateMatrix, pol policy.Policy, f flow.Vector, lats []float64) {
+		for i := 0; i < b.N; i++ {
+			rm.fill(pol, f, lats)
+		}
+	})
 }

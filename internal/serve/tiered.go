@@ -14,7 +14,10 @@ import (
 // bytes an unchanged document produces bumps it, and results cached or
 // stored before the change become misses that are computed again. The
 // fingerprint a response reports does not include it.
-const resultEpoch = 1
+//
+// Epoch 2: fluid commodities of 24 or more paths run the latency-ordered
+// kernel, whose results differ from the dense one's at rounding level.
+const resultEpoch = 2
 
 // Cache tiers as reported in the X-Cache response header: an in-memory LRU
 // hit, a durable-store hit (promoted into the LRU on the way out), or a miss
