@@ -80,11 +80,10 @@ func newRateMatrix(inst *flow.Instance, ws *flow.Workspace, pol policy.Policy, m
 // globally). Origin-invariant samplers (all builtins) take the fast path:
 // one sampler call per commodity, then the ordered kernel's fill or a
 // direct fill of the transposed storage (contiguous writes, no scatter).
-// Custom samplers fall back to
-// origin-major rows scattered into the transposed layout. The fill is
-// strictly sequential: the Sampler/Migrator interfaces promise nothing about
-// concurrency, and it runs inside sweep workers that are already
-// pool-parallel.
+// Custom samplers fall back to origin-major rows scattered into the
+// transposed layout. The fill is strictly sequential: the Sampler/Migrator
+// interfaces promise nothing about concurrency, and it runs inside sweep
+// workers that are already pool-parallel.
 func (rm *rateMatrix) fill(pol policy.Policy, boardFlows flow.Vector, boardLats []float64) {
 	rm.maxRate = 0
 	for i := 0; i < rm.inst.NumCommodities(); i++ {

@@ -43,8 +43,10 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		{"fluid-rk4", braess, Fluid{Integrator: dynamics.RK4}, 0},
 		{"fluid-uniformization", braess, Fluid{Integrator: dynamics.Uniformization}, 0},
 		{"fluid-layered-random", layered, Fluid{Integrator: dynamics.Uniformization}, 0},
-		// sim-dense's fluid instance: 252 paths in one commodity.
+		// sim-dense's fluid instance: 252 paths in one commodity, on the
+		// latency-ordered kernel.
 		{"fluid-grid6", grid6, Fluid{Integrator: dynamics.Euler}, 0},
+		{"fluid-grid6-uniformization", grid6, Fluid{Integrator: dynamics.Uniformization}, 0},
 		{"fresh-euler", braess, Fluid{Fresh: true, Integrator: dynamics.Euler, Step: period}, 0},
 		{"fresh-rk4", braess, Fluid{Fresh: true, Integrator: dynamics.RK4, Step: period}, 0},
 		{"bestresponse", braess, BestResponse{}, 0},

@@ -40,7 +40,8 @@ const (
 type Ordered struct {
 	kind               orderedKind
 	alpha, lmax, floor float64
-	// coef scales a window moment into a rate: 1/ℓmax, α, α/ℓmax or α.
+	// coef scales a window moment into a rate: 1/ℓmax, α, α/ℓmax or α;
+	// better response has empty windows and coef 0.
 	coef float64
 
 	ord   []int32   // ord[k]: the path at position k
@@ -175,9 +176,7 @@ func (o *Ordered) Fill(lats, probs []float64) {
 		o.hi[k] = int32(prev)
 	}
 	o.fillRowSums()
-	if o.kind != orderedBetterResponse {
-		o.win.plan(o.lat, o.lo, o.hi)
-	}
+	o.win.plan(o.lat, o.lo, o.hi)
 }
 
 // firstClippedOrigin returns the first position j ≥ from whose migration
@@ -185,9 +184,6 @@ func (o *Ordered) Fill(lats, probs []float64) {
 // origins have larger gains, so the clipped ones form a suffix, and an
 // unclipped costliest origin settles the search at once.
 func (o *Ordered) firstClippedOrigin(from int, y float64) int {
-	if o.kind == orderedBetterResponse {
-		return from
-	}
 	to := len(o.lat)
 	if from >= to || !o.clipped(o.lat[to-1], y) {
 		return to
@@ -208,9 +204,6 @@ func (o *Ordered) firstClippedOrigin(from int, y float64) int {
 // targets have larger gains, so the clipped ones form a prefix, and an
 // unclipped cheapest target settles the search at once.
 func (o *Ordered) firstUnclippedTarget(to int, x float64) int {
-	if o.kind == orderedBetterResponse {
-		return to
-	}
 	if to == 0 || !o.clipped(x, o.lat[0]) {
 		return 0
 	}
@@ -244,10 +237,8 @@ func (o *Ordered) fillRowSums() {
 		d = o.firstUnclippedTarget(min(n-int(o.rlo[r]), d), o.lat[k])
 		o.rhi[r] = int32(n - d)
 	}
-	if o.kind != orderedBetterResponse {
-		o.win.plan(xr, o.rlo, o.rhi)
-		o.win.sums(wr, o.kind == orderedQuadratic, o.mom)
-	}
+	o.win.plan(xr, o.rlo, o.rhi)
+	o.win.sums(wr, o.kind == orderedQuadratic, o.mom)
 	// head[t] = Σ_{m<t} σ_m.
 	head := o.tail
 	acc := 0.0
@@ -258,15 +249,11 @@ func (o *Ordered) fillRowSums() {
 	head[n] = acc
 	for k, p := range o.ord {
 		r := n - 1 - k
-		s := head[n-int(o.rhi[r])]
-		if o.kind != orderedBetterResponse {
-			c := o.coef
-			if o.kind == orderedRelativeGain {
-				c = o.alpha / math.Max(o.lat[k], o.floor)
-			}
-			s += c * o.mom[r]
+		c := o.coef
+		if o.kind == orderedRelativeGain {
+			c = o.alpha / math.Max(o.lat[k], o.floor)
 		}
-		o.rowSums[p] = s
+		o.rowSums[p] = head[n-int(o.rhi[r])] + c*o.mom[r]
 	}
 }
 
@@ -283,12 +270,6 @@ func (o *Ordered) Inflow(f, in []float64) {
 		fs[k] = x
 		t += x
 		tail[k] = t
-	}
-	if o.kind == orderedBetterResponse {
-		for k, p := range o.ord {
-			in[p] = o.sig[k] * tail[o.lo[k]]
-		}
-		return
 	}
 	w := fs
 	if o.kind == orderedRelativeGain {
