@@ -18,34 +18,9 @@ import (
 	"testing"
 
 	"wardrop/internal/flow"
-	"wardrop/internal/graph"
-	"wardrop/internal/latency"
 	"wardrop/internal/policy"
 	"wardrop/internal/topo"
 )
-
-// commoditiesOf builds one instance whose commodities route over their own
-// parallel links, one commodity per size.
-func commoditiesOf(t testing.TB, sizes ...int) *flow.Instance {
-	t.Helper()
-	g := graph.New()
-	var lats []latency.Function
-	var comms []flow.Commodity
-	for i, n := range sizes {
-		s := g.MustAddNode(fmt.Sprintf("s%d", i))
-		d := g.MustAddNode(fmt.Sprintf("t%d", i))
-		for j := 0; j < n; j++ {
-			g.MustAddEdge(s, d)
-			lats = append(lats, latency.Linear{Slope: 1, Offset: float64(j)})
-		}
-		comms = append(comms, flow.Commodity{Name: fmt.Sprintf("c%d", i), Source: s, Sink: d, Demand: 1})
-	}
-	inst, err := flow.NewInstance(g, lats, comms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inst
-}
 
 // orderedBoard is one board shape of the differential test.
 type orderedBoard struct {
@@ -182,8 +157,8 @@ func TestOrderedMatchesDense(t *testing.T) {
 		inst       *flow.Instance
 		minOrdered int
 	}{
-		{"all", commoditiesOf(t, 1, 2, 3, 4, 7, 12, 33, 64, 130), 1},
-		{"crossover", commoditiesOf(t, 5, orderedMinPaths-1, orderedMinPaths, 100), orderedMinPaths},
+		{"all", commoditySizes(t, 1, 2, 3, 4, 7, 12, 33, 64, 130), 1},
+		{"crossover", commoditySizes(t, 5, orderedMinPaths-1, orderedMinPaths, 100), orderedMinPaths},
 	}
 	rng := &topo.SplitMix{State: 0x0d3e}
 	for _, in := range insts {
@@ -211,7 +186,7 @@ func TestOrderedMatchesDense(t *testing.T) {
 }
 
 // TestOrderedKernelOnRealBoards runs the comparison on boards the fluid
-// engine meets: the grids above the crossover under the replicator, each
+// engine meets: the 5×5 and 6×6 grids, above the crossover, under each
 // builtin migrator and sampler, at the uniform flow and a skewed one.
 func TestOrderedKernelOnRealBoards(t *testing.T) {
 	for _, size := range []int{5, 6} {
