@@ -1,9 +1,9 @@
 package dynamics
 
 // The paper's Lemma 3 (ΔΦ = ΣU + V, an identity) and Lemma 4 (ΔΦ ≤ V/2
-// for an α-smooth policy at the safe period) as a gate over every catalog
-// family the fluid engine runs, every migrator with a smoothness constant,
-// every builtin sampler, both frozen-board integrators and two starts.
+// for an α-smooth policy at the safe period) as a gate over ten instance
+// families, every migrator with a smoothness constant, every builtin
+// sampler, both frozen-board integrators and two starts.
 
 import (
 	"context"
