@@ -1,9 +1,10 @@
 // Command wardsim runs one rerouting-dynamics simulation and emits the
-// trajectory (time, potential, flows) as CSV on stdout. It dispatches
-// through the unified wardrop.Run API and the component catalog: the -topo,
-// -policy, -agents and -count flags select registered components (fluid
-// limit, best response, finite-N agents, or the mean-field count engine),
-// and -scenario runs a declarative scenario file instead of flags.
+// trajectory (time, potential, flows) as CSV on stdout. -scenario runs a
+// declarative scenario file; the other selection flags are shorthand for
+// the same document and run through the same binder (under -policy
+// bestresponse, -T safe means 0.5). The one flag run no document expresses
+// is the kink demo: -topo kink -policy bestresponse starts on the §3.2
+// periodic orbit.
 //
 // SIGINT cancels the run context; the partial trajectory simulated so far is
 // flushed before exiting.
@@ -53,7 +54,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	seed := fs.Uint64("seed", 1, "seed (seeded topologies, agent sim)")
 	policyName := fs.String("policy", "replicator", "policy: any registered sampler (see -list), or bestresponse")
 	c := fs.Float64("c", 4, "Boltzmann concentration (policy=boltzmann)")
-	period := fs.String("T", "safe", "bulletin-board period: a number, or 'safe'")
+	period := fs.String("T", "safe", "bulletin-board period: a number, or 'safe' (Corollary 5's period; 0.5 under -policy bestresponse)")
 	horizon := fs.Float64("horizon", 50, "simulated time")
 	every := fs.Int("every", 1, "record every k phases")
 	agentsN := fs.Int64("agents", 0, "if > 0, run the finite-N per-agent simulator instead of the fluid limit")
@@ -83,9 +84,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *scenFile != "" {
 		return runScenario(ctx, *scenFile, *jsonOut, tracer, *traceOut, stdout)
 	}
-	// Reject bad run-shape flags up front instead of passing them to the
-	// simulators (where e.g. -every 0 silently disables recording and
-	// -agents < 0 only fails deep inside the agent distributor).
+	// Reject bad flags up front, with errors that name the flag.
 	if *horizon <= 0 || math.IsNaN(*horizon) || math.IsInf(*horizon, 0) {
 		return fmt.Errorf("invalid -horizon %g: must be positive and finite", *horizon)
 	}
@@ -104,71 +103,54 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *countN > 0 && *agentsN > 0 {
 		return fmt.Errorf("-agents and -count select different engines for the same process; pass one of them")
 	}
-
-	var inst *wardrop.Instance
-	var err error
-	if *instFile != "" {
-		f, ferr := os.Open(*instFile)
-		if ferr != nil {
-			return ferr
-		}
-		inst, err = wardrop.ParseInstance(f)
-		f.Close()
-	} else {
-		// The flags map onto the catalog's topology parameters; any
-		// registered family is selectable by name.
-		inst, err = wardrop.CampaignTopology{Family: *topoName, Size: *m, Beta: *beta}.Build(*seed)
+	if *policyName == "bestresponse" && (*agentsN > 0 || *countN > 0) {
+		return fmt.Errorf("-agents/-count cannot be combined with -policy bestresponse (a fluid-only dynamics)")
 	}
+
+	// The flags are shorthand for a scenario document (see -scenario).
+	T, err := parsePeriod(*period)
 	if err != nil {
 		return err
 	}
-
-	scenario := wardrop.Scenario{
-		Instance:    inst,
-		Horizon:     *horizon,
-		RecordEvery: *every,
+	if T.Safe && *policyName == "bestresponse" {
+		T = wardrop.CampaignPeriod{T: 0.5}
 	}
-
-	if *policyName == "bestresponse" {
-		if *agentsN > 0 || *countN > 0 {
-			return fmt.Errorf("-agents/-count cannot be combined with -policy bestresponse (a fluid-only dynamics)")
-		}
-		T, err := parsePeriod(*period, 0.5)
-		if err != nil {
+	doc := wardrop.ScenarioSpec{
+		Seed:         *seed,
+		UpdatePeriod: &T,
+		Engine:       &wardrop.EngineSpec{Kind: "fluid", Integrator: "uniformization"},
+		Horizon:      *horizon,
+		RecordEvery:  *every,
+	}
+	if *instFile != "" {
+		if doc.Instance, err = os.ReadFile(*instFile); err != nil {
 			return err
 		}
-		scenario.Engine = wardrop.BestResponseEngine{}
-		scenario.UpdatePeriod = T
-		if *topoName == "kink" {
-			f1, _, _ := wardrop.TwoLinkOscillation(*beta, T, 0)
-			scenario.InitialFlow = wardrop.Flow{f1, 1 - f1}
-		}
-		res, err := wardrop.Run(ctx, scenario, traceOpts...)
-		return finish(stdout, res, err, tracer, *traceOut)
+	} else {
+		doc.Topology = &wardrop.CampaignTopology{Family: *topoName, Size: *m, Beta: *beta}
 	}
-
-	pol, err := wardrop.CampaignPolicy{Kind: *policyName, C: *c}.Build(inst)
-	if err != nil {
-		return err
+	if *policyName == "bestresponse" {
+		doc.Engine = &wardrop.EngineSpec{Kind: "bestresponse"}
+	} else {
+		doc.Policy = &wardrop.CampaignPolicy{Kind: *policyName, C: *c}
 	}
-	safe, err := wardrop.SafeUpdatePeriodFor(pol, inst)
-	if err != nil {
-		return err
-	}
-	T, err := parsePeriod(*period, safe)
-	if err != nil {
-		return err
-	}
-	scenario.Policy = pol
-	scenario.UpdatePeriod = T
-
 	switch {
 	case *countN > 0:
-		scenario.Engine = wardrop.CountEngine{N: *countN, Seed: *seed}
+		doc.Engine = &wardrop.EngineSpec{Kind: "count", N: *countN, Seed: *seed}
 	case *agentsN > 0:
-		scenario.Engine = wardrop.AgentsEngine{N: int(*agentsN), Seed: *seed}
-	default:
-		scenario.Engine = wardrop.FluidEngine{Integrator: wardrop.Uniformization}
+		doc.Engine = &wardrop.EngineSpec{Kind: "agents", N: *agentsN, Seed: *seed}
+	}
+	if err := doc.Validate(); err != nil {
+		return err
+	}
+	scenario, err := doc.Scenario()
+	if err != nil {
+		return err
+	}
+	// The kink demo's orbit start has no document form.
+	if doc.Topology != nil && doc.Topology.Family == "kink" && doc.Engine.Kind == "bestresponse" {
+		f1, _, _ := wardrop.TwoLinkOscillation(*beta, T.T, 0)
+		scenario.InitialFlow = wardrop.Flow{f1, 1 - f1}
 	}
 	res, err := wardrop.Run(ctx, scenario, traceOpts...)
 	return finish(stdout, res, err, tracer, *traceOut)
@@ -218,15 +200,16 @@ func runScenario(ctx context.Context, path string, jsonOut bool, tracer *wardrop
 	return nil
 }
 
-func parsePeriod(s string, safe float64) (float64, error) {
+// parsePeriod reads the -T flag: "safe" or a positive finite number.
+func parsePeriod(s string) (wardrop.CampaignPeriod, error) {
 	if s == "safe" {
-		return safe, nil
+		return wardrop.CampaignPeriod{Safe: true}, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil || !(v > 0) || math.IsInf(v, 1) {
-		return 0, fmt.Errorf("invalid period %q: want a positive finite number or \"safe\"", s)
+		return wardrop.CampaignPeriod{}, fmt.Errorf("invalid period %q: want a positive finite number or \"safe\"", s)
 	}
-	return v, nil
+	return wardrop.CampaignPeriod{T: v}, nil
 }
 
 // finish emits the trajectory, then flushes the trace file — also on an

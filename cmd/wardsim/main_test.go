@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -68,9 +69,20 @@ func TestRunFluidSmoke(t *testing.T) {
 	}
 }
 
+// The kink demo is the one flag run no document can express: it starts on
+// the §3.2 periodic orbit.
 func TestRunBestResponseSmoke(t *testing.T) {
-	if err := run(context.Background(), []string{"-topo", "kink", "-beta", "4", "-policy", "bestresponse", "-T", "0.5", "-horizon", "2"}, io.Discard); err != nil {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-topo", "kink", "-beta", "8", "-policy", "bestresponse", "-T", "0.5", "-horizon", "2"}, &out); err != nil {
 		t.Fatal(err)
+	}
+	f1, _, _ := wardrop.TwoLinkOscillation(8, 0.5, 0)
+	lines := strings.Split(out.String(), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("no trajectory emitted:\n%s", out.String())
+	}
+	if got := strings.Split(lines[1], ","); len(got) != 4 || got[0] != "0" || got[2] != fmt.Sprintf("%g", f1) {
+		t.Errorf("first sample %q, want t=0 with f1=%v", lines[1], f1)
 	}
 }
 
@@ -119,34 +131,70 @@ func TestRunInstanceFile(t *testing.T) {
 	}
 }
 
-// A scenario file selecting the same components as a flag-driven run must
-// reproduce its output byte for byte — the declarative format is a second
-// front door to the same dispatch, not a second implementation.
+// The flags are shorthand for a scenario document: each flag run must print
+// exactly what its document prints through -scenario.
 func TestScenarioReproducesFlagRun(t *testing.T) {
-	var flags bytes.Buffer
-	args := []string{"-topo", "braess", "-policy", "replicator", "-T", "safe", "-horizon", "5", "-every", "2"}
-	if err := run(context.Background(), args, &flags); err != nil {
-		t.Fatal(err)
-	}
-
-	doc := `{
-	  "topology": {"family": "braess"},
-	  "policy": {"kind": "replicator"},
-	  "updatePeriod": "safe",
-	  "engine": {"kind": "fluid", "integrator": "uniformization"},
-	  "horizon": 5,
-	  "recordEvery": 2
+	inst := `{
+	  "nodes": ["s", "t"],
+	  "edges": [
+	    {"from": "s", "to": "t", "latency": {"kind": "linear", "slope": 1}},
+	    {"from": "s", "to": "t", "latency": {"kind": "constant", "c": 1}}
+	  ],
+	  "commodities": [{"source": "s", "sink": "t", "demand": 1}]
 	}`
-	path := filepath.Join(t.TempDir(), "scenario.json")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+	instPath := filepath.Join(t.TempDir(), "inst.json")
+	if err := os.WriteFile(instPath, []byte(inst), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var scen bytes.Buffer
-	if err := run(context.Background(), []string{"-scenario", path}, &scen); err != nil {
-		t.Fatal(err)
+	const fluid = `"engine": {"kind": "fluid", "integrator": "uniformization"}`
+	cases := []struct {
+		name string
+		args []string
+		doc  string
+	}{
+		{"fluid-safe", []string{"-topo", "braess", "-policy", "replicator", "-T", "safe"},
+			`"topology": {"family": "braess"}, "policy": {"kind": "replicator"}, "updatePeriod": "safe", ` + fluid},
+		{"fluid-number", []string{"-topo", "pigou", "-policy", "replicator", "-T", "0.1"},
+			`"topology": {"family": "pigou"}, "policy": {"kind": "replicator"}, "updatePeriod": 0.1, ` + fluid},
+		{"bestresponse-number", []string{"-topo", "braess", "-policy", "bestresponse", "-T", "0.25"},
+			`"topology": {"family": "braess"}, "updatePeriod": 0.25, "engine": {"kind": "bestresponse"}`},
+		// Under best response, "safe" means 0.5.
+		{"bestresponse-safe", []string{"-topo", "braess", "-policy", "bestresponse", "-T", "safe"},
+			`"topology": {"family": "braess"}, "updatePeriod": 0.5, "engine": {"kind": "bestresponse"}`},
+		{"boltzmann", []string{"-topo", "links", "-m", "4", "-policy", "boltzmann", "-c", "2", "-T", "0.25"},
+			`"topology": {"family": "links", "size": 4}, "policy": {"kind": "boltzmann", "c": 2}, "updatePeriod": 0.25, ` + fluid},
+		{"layered-seed", []string{"-topo", "layered", "-m", "3", "-seed", "7"},
+			`"topology": {"family": "layered", "size": 3}, "seed": 7, "policy": {"kind": "replicator"}, ` + fluid},
+		{"instance", []string{"-instance", instPath, "-policy", "uniform", "-T", "0.5"},
+			`"instance": ` + inst + `, "policy": {"kind": "uniform"}, "updatePeriod": 0.5, ` + fluid},
+		// -instance replaces -topo, so the kink demo's orbit start does not apply.
+		{"instance-kink", []string{"-instance", instPath, "-topo", "kink", "-policy", "bestresponse", "-T", "0.5"},
+			`"instance": ` + inst + `, "updatePeriod": 0.5, "engine": {"kind": "bestresponse"}`},
+		{"agents", []string{"-topo", "links", "-m", "16", "-policy", "uniform", "-agents", "1000"},
+			`"topology": {"family": "links", "size": 16}, "policy": {"kind": "uniform"}, "engine": {"kind": "agents", "n": 1000, "seed": 1}`},
+		// 1000 agents over 16 paths: the uniform start's rounding drift shows.
+		{"count", []string{"-topo", "links", "-m", "16", "-policy", "uniform", "-count", "1000"},
+			`"topology": {"family": "links", "size": 16}, "policy": {"kind": "uniform"}, "engine": {"kind": "count", "n": 1000, "seed": 1}`},
 	}
-	if flags.String() != scen.String() {
-		t.Errorf("scenario output differs from flag-driven run:\nflags:\n%s\nscenario:\n%s", flags.String(), scen.String())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var flags bytes.Buffer
+			if err := run(context.Background(), append(c.args, "-horizon", "5", "-every", "2"), &flags); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "scenario.json")
+			doc := "{" + c.doc + `, "horizon": 5, "recordEvery": 2}`
+			if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var scen bytes.Buffer
+			if err := run(context.Background(), []string{"-scenario", path}, &scen); err != nil {
+				t.Fatal(err)
+			}
+			if flags.String() != scen.String() {
+				t.Errorf("scenario output differs from flag-driven run:\nflags:\n%s\nscenario:\n%s", flags.String(), scen.String())
+			}
+		})
 	}
 }
 
@@ -272,13 +320,13 @@ func TestScenarioDivergenceFails(t *testing.T) {
 }
 
 func TestParsePeriod(t *testing.T) {
-	if v, err := parsePeriod("safe", 0.25); err != nil || v != 0.25 {
-		t.Errorf("safe = %g, %v", v, err)
+	if v, err := parsePeriod("safe"); err != nil || v != (wardrop.CampaignPeriod{Safe: true}) {
+		t.Errorf("safe = %+v, %v", v, err)
 	}
-	if v, err := parsePeriod("0.5", 0.25); err != nil || v != 0.5 {
-		t.Errorf("number = %g, %v", v, err)
+	if v, err := parsePeriod("0.5"); err != nil || v != (wardrop.CampaignPeriod{T: 0.5}) {
+		t.Errorf("number = %+v, %v", v, err)
 	}
-	if _, err := parsePeriod("0", 0.25); err == nil {
+	if _, err := parsePeriod("0"); err == nil {
 		t.Error("zero period accepted")
 	}
 }
