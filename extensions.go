@@ -1,25 +1,11 @@
 package wardrop
 
 import (
-	"context"
 	"io"
 
-	"wardrop/internal/dynamics"
 	"wardrop/internal/policy"
 	"wardrop/internal/spec"
 )
-
-// Hedge baseline ----------------------------------------------------------------
-
-// HedgeConfig parameterises the multiplicative-weights (no-regret) baseline.
-type HedgeConfig = dynamics.HedgeConfig
-
-// SimulateHedge runs the Hedge baseline from the paper's related work: one
-// synchronous multiplicative update per bulletin-board refresh. Small Eta
-// converges; large Eta·β·T oscillates like best response.
-func SimulateHedge(inst *Instance, cfg HedgeConfig, f0 Flow) (*SimResult, error) {
-	return dynamics.RunHedge(context.Background(), inst, cfg, f0)
-}
 
 // Relative-gain migration ----------------------------------------------------------
 

@@ -9,22 +9,6 @@ import (
 	"wardrop"
 )
 
-func TestSimulateHedgeFacade(t *testing.T) {
-	inst, err := wardrop.Pigou()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := wardrop.SimulateHedge(inst, wardrop.HedgeConfig{
-		Eta: 0.2, UpdatePeriod: 0.25, Horizon: 150,
-	}, inst.UniformFlow())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inst.AtWardropEquilibrium(res.Final, 0.02) {
-		t.Errorf("hedge did not converge: %v", res.Final)
-	}
-}
-
 func TestRelativeGainFacade(t *testing.T) {
 	inst, err := wardrop.Braess()
 	if err != nil {
