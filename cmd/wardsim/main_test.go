@@ -105,17 +105,19 @@ func TestRunBoltzmannSmoke(t *testing.T) {
 	}
 }
 
+// twoLinkInstance is Pigou's network as an instance document.
+const twoLinkInstance = `{
+  "nodes": ["s", "t"],
+  "edges": [
+    {"from": "s", "to": "t", "latency": {"kind": "linear", "slope": 1}},
+    {"from": "s", "to": "t", "latency": {"kind": "constant", "c": 1}}
+  ],
+  "commodities": [{"source": "s", "sink": "t", "demand": 1}]
+}`
+
 func TestRunInstanceFile(t *testing.T) {
-	doc := `{
-	  "nodes": ["s", "t"],
-	  "edges": [
-	    {"from": "s", "to": "t", "latency": {"kind": "linear", "slope": 1}},
-	    {"from": "s", "to": "t", "latency": {"kind": "constant", "c": 1}}
-	  ],
-	  "commodities": [{"source": "s", "sink": "t", "demand": 1}]
-	}`
 	path := filepath.Join(t.TempDir(), "inst.json")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(twoLinkInstance), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), []string{"-instance", path, "-horizon", "2"}, io.Discard); err != nil {
@@ -134,16 +136,8 @@ func TestRunInstanceFile(t *testing.T) {
 // The flags are shorthand for a scenario document: each flag run must print
 // exactly what its document prints through -scenario.
 func TestScenarioReproducesFlagRun(t *testing.T) {
-	inst := `{
-	  "nodes": ["s", "t"],
-	  "edges": [
-	    {"from": "s", "to": "t", "latency": {"kind": "linear", "slope": 1}},
-	    {"from": "s", "to": "t", "latency": {"kind": "constant", "c": 1}}
-	  ],
-	  "commodities": [{"source": "s", "sink": "t", "demand": 1}]
-	}`
 	instPath := filepath.Join(t.TempDir(), "inst.json")
-	if err := os.WriteFile(instPath, []byte(inst), 0o644); err != nil {
+	if err := os.WriteFile(instPath, []byte(twoLinkInstance), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	const fluid = `"engine": {"kind": "fluid", "integrator": "uniformization"}`
@@ -166,10 +160,10 @@ func TestScenarioReproducesFlagRun(t *testing.T) {
 		{"layered-seed", []string{"-topo", "layered", "-m", "3", "-seed", "7"},
 			`"topology": {"family": "layered", "size": 3}, "seed": 7, "policy": {"kind": "replicator"}, ` + fluid},
 		{"instance", []string{"-instance", instPath, "-policy", "uniform", "-T", "0.5"},
-			`"instance": ` + inst + `, "policy": {"kind": "uniform"}, "updatePeriod": 0.5, ` + fluid},
+			`"instance": ` + twoLinkInstance + `, "policy": {"kind": "uniform"}, "updatePeriod": 0.5, ` + fluid},
 		// -instance replaces -topo, so the kink demo's orbit start does not apply.
 		{"instance-kink", []string{"-instance", instPath, "-topo", "kink", "-policy", "bestresponse", "-T", "0.5"},
-			`"instance": ` + inst + `, "updatePeriod": 0.5, "engine": {"kind": "bestresponse"}`},
+			`"instance": ` + twoLinkInstance + `, "updatePeriod": 0.5, "engine": {"kind": "bestresponse"}`},
 		{"agents", []string{"-topo", "links", "-m", "16", "-policy", "uniform", "-agents", "1000"},
 			`"topology": {"family": "links", "size": 16}, "policy": {"kind": "uniform"}, "engine": {"kind": "agents", "n": 1000, "seed": 1}`},
 		// 1000 agents over 16 paths: the uniform start's rounding drift shows.
