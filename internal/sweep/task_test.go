@@ -109,6 +109,65 @@ func uitoa(v uint64) string {
 	return string(b)
 }
 
+// wireCampaignDoc crosses a counts axis with a named timelines entry and
+// sets every run-shape scalar, so its task specs carry the omitempty fields
+// campaignDocA's leave out.
+const wireCampaignDoc = `{
+  "name": "wire",
+  "topologies": [{"family": "links", "size": 3}],
+  "policies": [{"kind": "boltzmann", "c": 2}],
+  "updatePeriods": [0.1],
+  "counts": [5000],
+  "timelines": [{"name": "rush", "schedules": [{"kind": "pwl", "times": [0, 1], "factors": [1, 0.5]}]}],
+  "seeds": 2,
+  "baseSeed": 11,
+  "horizon": 4,
+  "start": "skewed",
+  "delta": 0.2,
+  "eps": 0.1,
+  "weak": true,
+  "streak": 3
+}`
+
+// TestTaskSpecWireGolden pins a task's /v1/tasks body and its fingerprint,
+// the key a shared result store holds the task's record under: changing
+// either silently turns every stored result into a miss.
+func TestTaskSpecWireGolden(t *testing.T) {
+	for _, tc := range []struct {
+		doc      string
+		id       int
+		body, fp string
+	}{
+		{campaignDocA, 0,
+			`{"topology":{"family":"pigou"},"policy":{"kind":"replicator"},"period":"safe","delta":0.3,"seed":12415408236704183073,"maxPhases":20,"eps":0.15}`,
+			"91cc0e3e435bdc1dd1deaebf36210e7b314d9f492998da1c83140aab98069ee4"},
+		{wireCampaignDoc, 1,
+			`{"topology":{"family":"links","size":3},"policy":{"kind":"boltzmann","c":2},"period":0.1,"count":5000,"delta":0.2,"timeline":{"name":"rush","schedules":[{"kind":"pwl","times":[0,1],"factors":[1,0.5]}]},"seed":18170796465360764947,"horizon":4,"start":"skewed","eps":0.1,"weak":true,"streak":3}`,
+			"fdcd76ec662da97ac4833bb4712eda819025a8fa14497ecc124b1d2e2d5b5b93"},
+	} {
+		c := parseCampaignDoc(t, tc.doc)
+		tasks, err := c.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := NewTaskSpec(c, tasks[tc.id])
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != tc.body {
+			t.Errorf("%s task %d: body\n%s\nwant pinned\n%s", c.Name, tc.id, body, tc.body)
+		}
+		fp, err := spec.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != tc.fp {
+			t.Errorf("%s task %d: fingerprint %s, want pinned %s", c.Name, tc.id, fp, tc.fp)
+		}
+	}
+}
+
 func TestParseTaskSpecRejectsBadDocuments(t *testing.T) {
 	for _, doc := range []string{
 		``,
