@@ -86,6 +86,11 @@ type Config struct {
 	// before scheduling work, so results survive restarts (and can be shared
 	// between servers pointing at one directory). See internal/store.
 	Store *store.Store
+
+	// jobStarted, when non-nil, is called by the worker that starts a job,
+	// once the job counts as running and before it executes. Tests hold a
+	// job in flight with it.
+	jobStarted func(*job)
 }
 
 // withDefaults resolves the zero values.
@@ -308,6 +313,9 @@ func (s *Server) runJob(j *job, ws *flow.Workspace) {
 	}
 	s.met.running.Add(1)
 	j.setRunning()
+	if s.cfg.jobStarted != nil {
+		s.cfg.jobStarted(j)
+	}
 	body, err := s.execute(j, ws)
 	if err != nil {
 		s.met.jobsFailed.Add(1)

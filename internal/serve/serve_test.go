@@ -204,8 +204,23 @@ func TestScenarioBadSpec(t *testing.T) {
 	}
 }
 
+// holdFirstJob returns a Config.jobStarted hook that holds the first job a
+// worker starts until that job's context ends, and a channel closed once
+// the job is held.
+func holdFirstJob() (func(*job), <-chan struct{}) {
+	held := make(chan struct{})
+	var once sync.Once
+	return func(j *job) {
+		once.Do(func() {
+			close(held)
+			<-j.ctx.Done()
+		})
+	}, held
+}
+
 func TestClientDisconnectFreesWorkerAndFailsJob(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	hold, held := holdFirstJob()
+	_, ts := newTestServer(t, Config{Workers: 1, jobStarted: hold})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/scenarios", strings.NewReader(slowDoc))
@@ -221,8 +236,8 @@ func TestClientDisconnectFreesWorkerAndFailsJob(t *testing.T) {
 		errCh <- err
 	}()
 
-	// Wait for the slow job to occupy the single worker, then disconnect.
-	waitFor(t, time.Second, func() bool { return s.met.jobsRunning() >= 1 })
+	// Wait for the job to occupy the single worker, then disconnect.
+	<-held
 	cancel()
 	if err := <-errCh; err == nil {
 		t.Fatal("expected the aborted request to error")
@@ -245,18 +260,6 @@ func TestClientDisconnectFreesWorkerAndFailsJob(t *testing.T) {
 	}
 	if jobs[1].State != JobDone {
 		t.Fatalf("follow-up job state = %s, want %s", jobs[1].State, JobDone)
-	}
-}
-
-// waitFor polls cond until it holds or the deadline expires.
-func waitFor(t *testing.T, d time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached before deadline")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -441,7 +444,8 @@ func TestGracefulCloseDrainsQueuedJobs(t *testing.T) {
 }
 
 func TestCloseDeadlineCancelsRunningJobs(t *testing.T) {
-	s := New(Config{Workers: 1})
+	hold, held := holdFirstJob()
+	s := New(Config{Workers: 1, jobStarted: hold})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -449,7 +453,7 @@ func TestCloseDeadlineCancelsRunningJobs(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d (%s)", resp.StatusCode, body)
 	}
-	waitFor(t, time.Second, func() bool { return s.met.jobsRunning() >= 1 })
+	<-held
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
