@@ -37,14 +37,9 @@ func OpenResultStore(dir string, maxBytes int64) (*ResultStore, error) {
 }
 
 // SweepTaskSpec is the self-contained document of one sweep task — the wire
-// unit of distributed sweeps (the body of the server's POST /v1/tasks).
+// unit of distributed sweeps (the body of the server's POST /v1/tasks). Every
+// SweepTask carries its spec, campaign run-shape scalars included.
 type SweepTaskSpec = sweep.TaskSpec
-
-// NewSweepTaskSpec renders one expanded campaign task as a self-contained
-// spec carrying the campaign's run-shape scalars.
-func NewSweepTaskSpec(c *Campaign, t SweepTask) *SweepTaskSpec {
-	return sweep.NewTaskSpec(c, t)
-}
 
 // DistSweepOptions configures a distributed sweep (HTTP client, per-node
 // inflight, streaming sink, progress and event callbacks).
