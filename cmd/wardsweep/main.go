@@ -148,10 +148,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var res *wardrop.SweepResult
 	if len(workerURLs) > 0 {
 		dopts := wardrop.DistSweepOptions{
-			Results:   results,
-			Canonical: true,
-			Progress:  progress,
-			Metrics:   reg,
+			Results:  results,
+			Progress: progress,
+			Metrics:  reg,
 			// Coordinator lifecycle events are always logged — a dead node or
 			// a re-homed task is operational signal, not debug chatter.
 			Events: func(ev wardrop.DistSweepEvent) {
@@ -168,11 +167,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		res, err = wardrop.RunDistSweep(ctx, campaign, workerURLs, dopts)
 	} else {
 		res, err = wardrop.RunSweep(ctx, campaign, wardrop.SweepOptions{
-			Workers:   workers,
-			Results:   results,
-			Canonical: true,
-			Progress:  progress,
-			Metrics:   reg,
+			Workers:  workers,
+			Results:  results,
+			Progress: progress,
+			Metrics:  reg,
 		})
 	}
 	// SIGINT cancels the run context; the engine returns the records

@@ -1,11 +1,12 @@
 // Package dispatch is the campaign coordinator for distributed sweeps: it
-// expands a campaign exactly as a local sweep.Run would, shards the deduped
-// tasks across a fleet of wardserve workers by consistent hashing on task
-// fingerprint (so identical cells keep landing on the same node and its
-// caches stay hot), executes them over POST /v1/tasks, and merges the
-// returned records into the same RunResult a local run produces. Nodes that
-// stop answering are declared dead and their tasks re-queued onto the
-// survivors; idle nodes steal queued work from loaded ones; transient
+// expands a campaign and groups its tasks into the units a local sweep.Run
+// schedules (sweep.Units), shards the units across a fleet of wardserve
+// workers by consistent hashing on task fingerprint (so identical cells keep
+// landing on the same node and its caches stay hot), executes them over
+// POST /v1/tasks, and merges the returned records through the local
+// collector (sweep.Collect) into the same RunResult a local run produces.
+// Nodes that stop answering are declared dead and their tasks re-queued onto
+// the survivors; idle nodes steal queued work from loaded ones; transient
 // queue-full rejections are retried with backoff honouring Retry-After.
 // Because remote workers return canonical records and the coordinator
 // rebinds the bookkeeping identity per task, the merged artifacts are
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,12 +72,10 @@ type Options struct {
 	Client *http.Client
 	// Inflight is the number of concurrent tasks per worker (default 4).
 	Inflight int
-	// Results, Canonical, Progress: as sweep.Options — a streaming JSONL
-	// sink (completion order), the canonical-form switch for that stream,
-	// and the per-record progress callback.
-	Results   io.Writer
-	Canonical bool
-	Progress  func(done, total int, rec sweep.Record)
+	// Results, Progress: as sweep.Options — a streaming canonical JSONL
+	// sink (completion order) and the per-record progress callback.
+	Results  io.Writer
+	Progress func(done, total int, rec sweep.Record)
 	// Events, if non-nil, observes coordinator lifecycle events. Called from
 	// worker goroutines; must be safe for concurrent use.
 	Events func(Event)
@@ -98,14 +96,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// unit is one dedup class of tasks: a self-contained spec submitted (at most
-// a few times) to remote workers, and every expanded task whose record is
-// bound from the one remote result.
+// unit is one sweep unit on its way through the fleet: the encoded spec of
+// its first task, submitted (at most a few times) to remote workers, whose
+// one remote result becomes the record of every task of the unit.
 type unit struct {
-	fp       string
-	spec     *sweep.TaskSpec
+	sweep.Unit
 	body     []byte
-	tasks    []sweep.Task
 	attempts int
 	// enqueuedAt is when the unit last landed on a node queue; the
 	// dequeue-side delta is the queue-wait metric.
@@ -133,9 +129,17 @@ func Run(ctx context.Context, camp *sweep.Campaign, workers []string, opts Optio
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	units, err := buildUnits(camp, tasks)
+	sunits, err := sweep.Units(tasks)
 	if err != nil {
 		return nil, err
+	}
+	units := make([]*unit, len(sunits))
+	for i, su := range sunits {
+		body, err := json.Marshal(&su.Tasks[0].TaskSpec)
+		if err != nil {
+			return nil, fmt.Errorf("dispatch: task %d: %w", su.Tasks[0].ID, err)
+		}
+		units[i] = &unit{Unit: su, body: body}
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -144,31 +148,7 @@ func Run(ctx context.Context, camp *sweep.Campaign, workers []string, opts Optio
 	co := newCoordinator(ctx, urls, units, opts)
 	co.start()
 
-	// Collect, mirroring the local collector: stream JSONL in completion
-	// order, report progress, keep everything, sort by ID at the end.
-	records := make([]sweep.Record, 0, len(tasks))
-	enc := json.NewEncoder(io.Discard)
-	if opts.Results != nil {
-		enc = json.NewEncoder(opts.Results)
-	}
-	var sinkErr error
-	for rec := range co.recCh {
-		if sinkErr == nil {
-			line := rec
-			if opts.Canonical {
-				line = sweep.CanonicalRecord(rec)
-			}
-			if err := enc.Encode(line); err != nil {
-				sinkErr = fmt.Errorf("dispatch: results sink: %w", err)
-				cancel()
-			}
-		}
-		records = append(records, rec)
-		if opts.Progress != nil {
-			opts.Progress(len(records), len(tasks), rec)
-		}
-	}
-	sort.Slice(records, func(i, j int) bool { return records[i].ID < records[j].ID })
+	records, sinkErr := sweep.Collect(co.recCh, len(tasks), opts.Results, opts.Progress, cancel)
 	result := &sweep.RunResult{Campaign: camp, Tasks: tasks, Records: records}
 	if sinkErr != nil {
 		return nil, sinkErr
@@ -180,33 +160,6 @@ func Run(ctx context.Context, camp *sweep.Campaign, workers []string, opts Optio
 		return result, err
 	}
 	return result, nil
-}
-
-// buildUnits groups the expanded tasks by TaskSpec fingerprint in
-// first-occurrence order — the same dedup partition the local executor uses
-// (within one campaign the two fingerprints induce identical classes), keyed
-// by the durable identity remote caches understand.
-func buildUnits(camp *sweep.Campaign, tasks []sweep.Task) ([]*unit, error) {
-	units := make([]*unit, 0, len(tasks))
-	index := make(map[string]int, len(tasks))
-	for _, t := range tasks {
-		spec := sweep.NewTaskSpec(camp, t)
-		fp, err := spec.Fingerprint()
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: task %d: %w", t.ID, err)
-		}
-		if i, ok := index[fp]; ok {
-			units[i].tasks = append(units[i].tasks, t)
-			continue
-		}
-		body, err := json.Marshal(spec)
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: task %d: %w", t.ID, err)
-		}
-		index[fp] = len(units)
-		units = append(units, &unit{fp: fp, spec: spec, body: body, tasks: []sweep.Task{t}})
-	}
-	return units, nil
 }
 
 // coordinator is the shared scheduling state: per-node queues under one
@@ -252,7 +205,7 @@ func newCoordinator(ctx context.Context, workers []string, units []*unit, opts O
 	now := time.Now()
 	for _, u := range units {
 		u.enqueuedAt = now
-		home := co.ring.owner(u.fp, co.alive)
+		home := co.ring.owner(u.Fingerprint, co.alive)
 		co.queues[home] = append(co.queues[home], u)
 	}
 	return co
@@ -345,7 +298,7 @@ func (co *coordinator) longestQueue(self int) int {
 func (co *coordinator) requeue(u *unit) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	home := co.ring.owner(u.fp, co.alive)
+	home := co.ring.owner(u.Fingerprint, co.alive)
 	if home < 0 {
 		return
 	}
@@ -374,7 +327,7 @@ func (co *coordinator) markDead(node int, cause error) {
 		now := time.Now()
 		for _, u := range orphans {
 			u.enqueuedAt = now
-			home := co.ring.owner(u.fp, co.alive)
+			home := co.ring.owner(u.Fingerprint, co.alive)
 			co.queues[home] = append(co.queues[home], u)
 		}
 	}
@@ -385,16 +338,10 @@ func (co *coordinator) markDead(node int, cause error) {
 	co.event(Event{Kind: EventNodeDead, Node: co.workers[node], Tasks: moved, Err: cause})
 }
 
-// complete binds the remote record onto every task of the unit (the spec
-// carries no bookkeeping identity — ID and SeedIndex are rebound here, the
-// exact clone semantics of the local dedup pass) and hands the records to
-// the collector.
+// complete hands the remote record to the collector once per task of the
+// unit, with the task's ID and SeedIndex bound (the spec carries neither).
 func (co *coordinator) complete(u *unit, rec sweep.Record) {
-	for _, t := range u.tasks {
-		bound := rec
-		bound.ID, bound.SeedIndex = t.ID, t.SeedIndex
-		co.recCh <- bound
-	}
+	u.Send(co.recCh, rec)
 	co.mu.Lock()
 	co.pending--
 	if co.pending == 0 {
@@ -439,12 +386,12 @@ func (co *coordinator) run(node int, u *unit) {
 		case vCancelled:
 			return
 		case vTaskFail:
-			co.complete(u, u.spec.ErrorRecord(err))
+			co.complete(u, u.Tasks[0].ErrorRecord(err))
 			return
 		case vRetry:
 			u.attempts++
 			if u.attempts >= maxAttempts {
-				co.complete(u, u.spec.ErrorRecord(err))
+				co.complete(u, u.Tasks[0].ErrorRecord(err))
 				return
 			}
 			co.met.retries.Inc()
@@ -463,7 +410,7 @@ func (co *coordinator) run(node int, u *unit) {
 			co.markDead(node, err)
 			u.attempts++
 			if u.attempts >= maxAttempts {
-				co.complete(u, u.spec.ErrorRecord(err))
+				co.complete(u, u.Tasks[0].ErrorRecord(err))
 				return
 			}
 			co.requeue(u)

@@ -126,13 +126,13 @@ func (f *failNode) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // mustUnits returns the campaign's dedup units, failing the test unless
 // there are at least atLeast of them.
-func mustUnits(t *testing.T, c *sweep.Campaign, atLeast int) []*unit {
+func mustUnits(t *testing.T, c *sweep.Campaign, atLeast int) []sweep.Unit {
 	t.Helper()
 	tasks, err := c.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := buildUnits(c, tasks)
+	units, err := sweep.Units(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"wardrop/internal/obs"
 	"wardrop/internal/serve"
+	"wardrop/internal/sweep"
 )
 
 // TestRunPopulatesMetrics pins the coordinator's instrumentation on a clean
@@ -20,7 +21,7 @@ func TestRunPopulatesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := buildUnits(camp, tasks)
+	units, err := sweep.Units(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -375,31 +375,19 @@ func (p Period) String() string {
 	return strconv.FormatFloat(p.T, 'g', -1, 64)
 }
 
-// Task is one cell × seed of the expanded campaign. IDs are consecutive from
-// 0 in expansion order. The derived Seed depends only on (BaseSeed, topology,
-// SeedIndex): replicate s of every cell sharing a topology draws the same
-// seed — seeded instance families are paired across policies/periods/
-// populations so cell-vs-cell comparisons see the same random graphs — and
-// editing other axes of a campaign never reshuffles existing seeds.
+// Task is one cell × seed of the expanded campaign: its self-contained spec
+// (the cell's axes, the derived seed and the campaign's run-shape scalars)
+// plus the bookkeeping identity. IDs are consecutive from 0 in expansion
+// order. The derived Seed depends only on (BaseSeed, topology, SeedIndex):
+// replicate s of every cell sharing a topology draws the same seed — seeded
+// instance families are paired across policies/periods/populations so
+// cell-vs-cell comparisons see the same random graphs — and editing other
+// axes of a campaign never reshuffles existing seeds. A task's fingerprint
+// is its spec's.
 type Task struct {
-	ID       int
-	Topology Topology
-	Policy   PolicySpec
-	Period   Period
-	Agents   int
-	// Count, when > 0, runs the cell on the mean-field count engine with
-	// this population (mutually exclusive with Agents > 0 by construction —
-	// the two fields come from different axis lists).
-	Count int64
-	// Delta is the task's (δ,ε) accounting width (from the Deltas axis, or
-	// the campaign scalar).
-	Delta float64
-	// Timeline is the task's timelines-axis entry (nil = stationary run).
-	// Tasks of one axis entry share the pointer; the entry is never mutated
-	// after expansion.
-	Timeline  *TimelineSpec
+	TaskSpec
+	ID        int
 	SeedIndex int
-	Seed      uint64
 
 	// meta caches the catalog resolution performed once per axis entry at
 	// expansion time (labels and seededness only — plain comparable values),
@@ -613,6 +601,7 @@ func (c *Campaign) Expand() ([]Task, error) {
 		seeds = 1
 	}
 	tasks := make([]Task, 0, len(c.Topologies)*len(c.Policies)*len(c.UpdatePeriods)*len(pops)*len(deltas)*len(tls)*seeds)
+	spec := TaskSpec{Horizon: c.Horizon, MaxPhases: c.MaxPhases, Start: c.Start, Eps: c.Eps, Weak: c.Weak, Streak: c.Streak}
 	id := 0
 	for _, tp := range c.Topologies {
 		// Resolve the catalog once per axis entry; every task of the entry
@@ -627,26 +616,21 @@ func (c *Campaign) Expand() ([]Task, error) {
 		h := fnv.New64a()
 		h.Write([]byte(b.Key))
 		topoBase := c.BaseSeed ^ h.Sum64()
+		spec.Topology = tp
 		for _, pol := range c.Policies {
 			meta := &taskMeta{topoKey: b.Key, policyKey: pol.Key(), seeded: b.Seeded}
+			spec.Policy = pol
 			for _, per := range c.UpdatePeriods {
+				spec.Period = per
 				for _, n := range pops {
+					spec.Agents, spec.Count = n.agents, n.count
 					for _, d := range deltas {
+						spec.Delta = d
 						for _, tl := range tls {
+							spec.Timeline = tl
 							for s := 0; s < seeds; s++ {
-								tasks = append(tasks, Task{
-									ID:        id,
-									Topology:  tp,
-									Policy:    pol,
-									Period:    per,
-									Agents:    n.agents,
-									Count:     n.count,
-									Delta:     d,
-									Timeline:  tl,
-									SeedIndex: s,
-									Seed:      topo.DeriveSeed(topoBase, uint64(s)),
-									meta:      meta,
-								})
+								spec.Seed = topo.DeriveSeed(topoBase, uint64(s))
+								tasks = append(tasks, Task{TaskSpec: spec, ID: id, SeedIndex: s, meta: meta})
 								id++
 							}
 						}

@@ -1,6 +1,10 @@
 package sweep
 
-import "wardrop/internal/canon"
+import (
+	"fmt"
+
+	"wardrop/internal/canon"
+)
 
 // Canonical renders the campaign in its canonical JSON form (object keys
 // sorted, whitespace stripped; see internal/canon).
@@ -16,70 +20,42 @@ func (c *Campaign) Fingerprint() (string, error) {
 	return canon.Fingerprint(c)
 }
 
-// taskIdentity is the run-identity document of one task: every input that
-// determines the task's simulation outcome. The campaign-global run-shape
-// scalars are shared by construction inside one run, so they are omitted;
-// ID and SeedIndex are bookkeeping, not inputs.
-type taskIdentity struct {
-	Topology Topology   `json:"topology"`
-	Policy   PolicySpec `json:"policy"`
-	Period   Period     `json:"period"`
-	Agents   int        `json:"agents"`
-	// Count is omitted when zero so every pre-count task identity (and hence
-	// every archived fingerprint) is unchanged.
-	Count int64   `json:"count,omitempty"`
-	Delta float64 `json:"delta"`
-	// Timeline is omitted when absent so every stationary task identity
-	// (and hence every archived fingerprint) is unchanged.
-	Timeline *TimelineSpec `json:"timeline,omitempty"`
-	Seed     uint64        `json:"seed"`
+// Unit is one dedup class of a campaign's tasks: every task whose spec has
+// the fingerprint, in expansion order. Tasks[0] runs, and every task of the
+// unit gets that outcome as its record (see Send).
+type Unit struct {
+	Fingerprint string
+	Tasks       []Task
 }
 
-// Fingerprint is the canonical-JSON SHA-256 of the task's run identity.
-// Within one campaign, two tasks with equal fingerprints (duplicate axis
-// entries) are guaranteed to produce identical results, which is exactly
-// what the executor's dedup pass relies on.
-func (t Task) Fingerprint() (string, error) {
-	return canon.Fingerprint(taskIdentity{
-		Topology: t.Topology,
-		Policy:   t.Policy,
-		Period:   t.Period,
-		Agents:   t.Agents,
-		Count:    t.Count,
-		Delta:    t.Delta,
-		Timeline: t.Timeline,
-		Seed:     t.Seed,
-	})
-}
-
-// taskGroup is one dedup class: a representative task that actually runs,
-// plus the duplicate tasks whose records are cloned from the
-// representative's outcome.
-type taskGroup struct {
-	rep  Task
-	dups []Task
-}
-
-// dedupTasks groups the expanded task list by run-identity fingerprint.
-// Group order follows the first occurrence of each identity, so a campaign
-// without duplicates degenerates to one group per task in task order. Tasks
-// whose identity cannot be fingerprinted (never the case for tasks produced
-// by Expand) conservatively form their own group.
-func dedupTasks(tasks []Task) []taskGroup {
-	groups := make([]taskGroup, 0, len(tasks))
+// Units groups tasks by spec fingerprint in order of first occurrence, so a
+// campaign without duplicate cells yields one unit per task, in task order.
+// Local and distributed runs schedule the same units.
+func Units(tasks []Task) ([]Unit, error) {
+	units := make([]Unit, 0, len(tasks))
 	index := make(map[string]int, len(tasks))
-	for _, t := range tasks {
-		fp, err := t.Fingerprint()
+	for i := range tasks {
+		fp, err := tasks[i].Fingerprint()
 		if err != nil {
-			groups = append(groups, taskGroup{rep: t})
+			return nil, fmt.Errorf("sweep: task %d: %w", tasks[i].ID, err)
+		}
+		if j, ok := index[fp]; ok {
+			units[j].Tasks = append(units[j].Tasks, tasks[i])
 			continue
 		}
-		if i, ok := index[fp]; ok {
-			groups[i].dups = append(groups[i].dups, t)
-			continue
-		}
-		index[fp] = len(groups)
-		groups = append(groups, taskGroup{rep: t})
+		index[fp] = len(units)
+		// The capacity limit makes a duplicate's append copy instead of
+		// overwriting tasks[i+1].
+		units = append(units, Unit{Fingerprint: fp, Tasks: tasks[i : i+1 : i+1]})
 	}
-	return groups
+	return units, nil
+}
+
+// Send hands rec to ch once for each task of the unit, with the task's ID
+// and SeedIndex rebound: the tasks share one spec, hence one outcome.
+func (u Unit) Send(ch chan<- Record, rec Record) {
+	for _, t := range u.Tasks {
+		rec.ID, rec.SeedIndex = t.ID, t.SeedIndex
+		ch <- rec
+	}
 }

@@ -115,16 +115,19 @@ func TestDedupTasksGroupsDuplicates(t *testing.T) {
 	if len(tasks) != 4 {
 		t.Fatalf("expanded %d tasks, want 4", len(tasks))
 	}
-	groups := dedupTasks(tasks)
-	if len(groups) != 2 {
-		t.Fatalf("dedup produced %d groups, want 2 (one per replicate)", len(groups))
+	units, err := Units(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 2 {
+		t.Fatalf("dedup produced %d units, want 2 (one per replicate)", len(units))
 	}
 	total := 0
-	for _, g := range groups {
-		total += 1 + len(g.dups)
-		for _, d := range g.dups {
-			if d.Seed != g.rep.Seed {
-				t.Fatalf("group mixes seeds: rep %d dup %d", g.rep.Seed, d.Seed)
+	for _, u := range units {
+		total += len(u.Tasks)
+		for _, d := range u.Tasks[1:] {
+			if d.Seed != u.Tasks[0].Seed {
+				t.Fatalf("unit mixes seeds: rep %d dup %d", u.Tasks[0].Seed, d.Seed)
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRunPopulatesTaskHistograms pins the pool's instrumentation: one
-// aggregate sample per simulated task group (duplicates clone a
+// aggregate sample per simulated unit (duplicates clone a
 // representative and are not re-timed) and a per-worker histogram per pool
 // slot.
 func TestRunPopulatesTaskHistograms(t *testing.T) {
@@ -18,7 +18,10 @@ func TestRunPopulatesTaskHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := dedupTasks(tasks)
+	units, err := Units(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	reg := obs.NewRegistry()
 	res, err := Run(context.Background(), parseDemo(t), Options{Workers: 3, Metrics: reg})
@@ -30,8 +33,8 @@ func TestRunPopulatesTaskHistograms(t *testing.T) {
 	}
 
 	agg := reg.FindHistogram("sweep_task_ms")
-	if agg == nil || agg.Count() != int64(len(groups)) {
-		t.Fatalf("aggregate samples = %v, want one per task group (%d)", agg, len(groups))
+	if agg == nil || agg.Count() != int64(len(units)) {
+		t.Fatalf("aggregate samples = %v, want one per unit (%d)", agg, len(units))
 	}
 	perWorker := 0
 	var perWorkerCount int64

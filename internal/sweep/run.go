@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -89,16 +88,13 @@ type Record struct {
 type Options struct {
 	// Workers is the worker-pool size (default GOMAXPROCS).
 	Workers int
-	// Results, if non-nil, receives one JSON line per completed task as it
-	// finishes (streaming, completion order).
+	// Results, if non-nil, receives one canonical JSON line per completed
+	// task as it finishes (streaming, completion order; wall time stripped,
+	// see CanonicalRecord).
 	Results io.Writer
-	// Canonical streams CanonicalRecord forms to Results (wall time
-	// stripped), so the streamed lines match the canonical byte-comparable
-	// record encoding. Progress always receives the full record.
-	Canonical bool
 	// Progress, if non-nil, is called after each task completes with the
-	// completed count, the total and the record. Called from the collector
-	// goroutine only, so it needs no locking.
+	// completed count, the total and the full record, wall time included.
+	// Called from the collector goroutine only, so it needs no locking.
 	Progress func(done, total int, rec Record)
 	// Metrics, when non-nil, receives the pool's task-latency histograms:
 	// one aggregate `sweep_task_ms` plus a per-worker
@@ -136,17 +132,19 @@ type instEntry struct {
 // ones already streamed to opts.Results) together with ctx.Err(), letting
 // callers flush partial campaigns cleanly.
 //
-// Tasks with identical run identities (duplicate axis entries — see
-// Task.Fingerprint) are simulated once: every duplicate still gets its own
-// record in the stream, cloned from the representative's outcome, so record
-// counts and downstream aggregation are unaffected while the duplicate
-// compute is skipped.
+// Tasks with identical specs (duplicate axis entries — see Units) are
+// simulated once: every duplicate still gets its own record in the stream,
+// cloned from the representative's outcome, so record counts and downstream
+// aggregation are unaffected while the duplicate compute is skipped.
 func Run(ctx context.Context, c *Campaign, opts Options) (*RunResult, error) {
 	tasks, err := c.Expand()
 	if err != nil {
 		return nil, err
 	}
-	groups := dedupTasks(tasks)
+	units, err := Units(tasks)
+	if err != nil {
+		return nil, err
+	}
 	// A sink failure cancels the pool so a broken -out target doesn't burn
 	// the rest of the campaign's compute.
 	ctx, cancel := context.WithCancel(ctx)
@@ -155,13 +153,13 @@ func Run(ctx context.Context, c *Campaign, opts Options) (*RunResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
+	if workers > len(units) {
+		workers = len(units)
 	}
 
 	var cache sync.Map // topology cache key -> *instEntry
 
-	groupCh := make(chan taskGroup)
+	unitCh := make(chan Unit)
 	// The sink channel is bounded: workers block once the collector falls
 	// behind, keeping memory proportional to the pool size, not the
 	// campaign size.
@@ -189,8 +187,8 @@ func Run(ctx context.Context, c *Campaign, opts Options) (*RunResult, error) {
 			// it runs: after the first task on each topology shape, a
 			// task's simulation scratch is fully recycled arena memory.
 			ws := flow.NewWorkspace()
-			for g := range groupCh {
-				rec, aborted := runTaskIsolated(ctx, c, g.rep, &cache, ws)
+			for u := range unitCh {
+				rec, aborted := runTaskIsolated(ctx, u.Tasks[0], &cache, ws)
 				if aborted {
 					// Cancelled mid-simulation: the task did not complete,
 					// so it (and its duplicates) gets no record.
@@ -200,20 +198,12 @@ func Run(ctx context.Context, c *Campaign, opts Options) (*RunResult, error) {
 					taskMs.Observe(rec.WallMS)
 					workerMs[w].Observe(rec.WallMS)
 				}
-				// Plain send: the collector drains recCh until it closes
+				// Plain sends: the collector drains recCh until it closes
 				// (even after cancellation), so this cannot deadlock — and
 				// a completed task's record must never be dropped, or the
 				// partial-flush guarantee would nondeterministically lose
 				// finished work.
-				recCh <- rec
-				// Duplicates clone the representative's outcome with only
-				// the bookkeeping identity rebound (the run identity —
-				// including the derived seed — is equal by construction).
-				for _, d := range g.dups {
-					dup := rec
-					dup.ID, dup.SeedIndex = d.ID, d.SeedIndex
-					recCh <- dup
-				}
+				u.Send(recCh, rec)
 			}
 		}(w)
 	}
@@ -222,11 +212,11 @@ func Run(ctx context.Context, c *Campaign, opts Options) (*RunResult, error) {
 		close(recCh)
 	}()
 
-	// Feed task groups, honouring cancellation.
+	// Feed the units, honouring cancellation.
 	feedErr := make(chan error, 1)
 	go func() {
-		defer close(groupCh)
-		for _, g := range groups {
+		defer close(unitCh)
+		for _, u := range units {
 			// Checked before the select: with idle workers both select cases
 			// are ready after cancellation and Go picks one at random, which
 			// would keep feeding tasks the workers then have to abort.
@@ -235,7 +225,7 @@ func Run(ctx context.Context, c *Campaign, opts Options) (*RunResult, error) {
 				return
 			}
 			select {
-			case groupCh <- g:
+			case unitCh <- u:
 			case <-ctx.Done():
 				feedErr <- ctx.Err()
 				return
@@ -244,31 +234,7 @@ func Run(ctx context.Context, c *Campaign, opts Options) (*RunResult, error) {
 		feedErr <- nil
 	}()
 
-	// Collect: stream JSONL, report progress, keep everything for the
-	// aggregation pass.
-	records := make([]Record, 0, len(tasks))
-	enc := json.NewEncoder(io.Discard)
-	if opts.Results != nil {
-		enc = json.NewEncoder(opts.Results)
-	}
-	var sinkErr error
-	for rec := range recCh {
-		if sinkErr == nil {
-			line := rec
-			if opts.Canonical {
-				line = CanonicalRecord(rec)
-			}
-			if err := enc.Encode(line); err != nil {
-				sinkErr = fmt.Errorf("sweep: results sink: %w", err)
-				cancel()
-			}
-		}
-		records = append(records, rec)
-		if opts.Progress != nil {
-			opts.Progress(len(records), len(tasks), rec)
-		}
-	}
-	sortRecords(records)
+	records, sinkErr := Collect(recCh, len(tasks), opts.Results, opts.Progress, cancel)
 	result := &RunResult{Campaign: c, Tasks: tasks, Records: records}
 	// The sink error wins over the cancellation it triggered.
 	if sinkErr != nil {
@@ -292,8 +258,8 @@ func sortRecords(recs []Record) {
 // records so a poisoned cell cannot take down the campaign. The second
 // return reports that the task was aborted by context cancellation and
 // therefore has no record.
-func runTaskIsolated(ctx context.Context, c *Campaign, t Task, cache *sync.Map, ws *flow.Workspace) (Record, bool) {
-	rec := isolated(t, func() Record { return runTask(ctx, c, t, cache, ws) })
+func runTaskIsolated(ctx context.Context, t Task, cache *sync.Map, ws *flow.Workspace) (Record, bool) {
+	rec := isolated(t, func() Record { return runTask(ctx, t, cache, ws) })
 	return rec, rec.aborted
 }
 
@@ -306,9 +272,8 @@ func isolated(t Task, fn func() Record) (rec Record) {
 	return fn()
 }
 
-// errorRecord fills the identity fields so failed tasks still appear exactly
-// once in the stream.
-func errorRecord(t Task, err error) Record {
+// record returns the task's record with only the identity fields filled.
+func (t Task) record() Record {
 	return Record{
 		ID:        t.ID,
 		Topology:  t.topologyLabel(),
@@ -320,11 +285,18 @@ func errorRecord(t Task, err error) Record {
 		Timeline:  t.Timeline.Key(),
 		Seed:      t.Seed,
 		SeedIndex: t.SeedIndex,
-		Error:     err.Error(),
 	}
 }
 
-func runTask(ctx context.Context, c *Campaign, t Task, cache *sync.Map, ws *flow.Workspace) Record {
+// errorRecord fills the identity fields so failed tasks still appear exactly
+// once in the stream.
+func errorRecord(t Task, err error) Record {
+	rec := t.record()
+	rec.Error = err.Error()
+	return rec
+}
+
+func runTask(ctx context.Context, t Task, cache *sync.Map, ws *flow.Workspace) Record {
 	// Bail before the instance build and Frank–Wolfe solve — the expensive
 	// pre-engine work — so tasks dequeued around the cancellation instant
 	// abort immediately instead of delaying the partial flush.
@@ -341,7 +313,7 @@ func runTask(ctx context.Context, c *Campaign, t Task, cache *sync.Map, ws *flow
 	if t.Timeline != nil {
 		tl = &t.Timeline.Spec
 	}
-	sc, prog, err := Bind(entry.inst, tl, &t.Policy, t.Period, c.Start, c.Horizon, c.MaxPhases)
+	sc, prog, err := Bind(entry.inst, tl, &t.Policy, t.Period, t.Start, t.Horizon, t.MaxPhases)
 	if err != nil {
 		return errorRecord(t, err)
 	}
@@ -358,7 +330,7 @@ func runTask(ctx context.Context, c *Campaign, t Task, cache *sync.Map, ws *flow
 	} else if t.Agents > 0 {
 		sc.Engine = engine.Agents{N: t.Agents, Seed: t.Seed, Workers: 1}
 	}
-	sc.Delta, sc.Eps, sc.Weak, sc.StopAfterSatisfiedStreak = t.Delta, c.Eps, c.Weak, c.Streak
+	sc.Delta, sc.Eps, sc.Weak, sc.StopAfterSatisfiedStreak = t.Delta, t.Eps, t.Weak, t.Streak
 	res, _, err := timeline.Run(ctx, prog, sc, t.Policy.Build, nil, engine.WithWorkspace(ws))
 	if err != nil {
 		if engine.IsCancellation(err) {
@@ -384,34 +356,18 @@ func runTask(ctx context.Context, c *Campaign, t Task, cache *sync.Map, ws *flow
 		phiStar = sol.Potential
 	}
 
-	rec := Record{
-		ID:        t.ID,
-		Topology:  t.topologyLabel(),
-		Policy:    t.policyLabel(),
-		Period:    t.Period.String(),
-		T:         sc.UpdatePeriod,
-		Agents:    t.Agents,
-		Count:     t.Count,
-		Delta:     t.Delta,
-		Timeline:  t.Timeline.Key(),
-		Seed:      t.Seed,
-		SeedIndex: t.SeedIndex,
-
-		FinalPotential:    res.FinalPotential,
-		PhiStar:           phiStar,
-		Gap:               res.FinalPotential - phiStar,
-		UnsatisfiedPhases: res.UnsatisfiedPhases,
-		Phases:            res.Phases,
-		Converged:         res.Stopped,
-		ElapsedSim:        res.Elapsed,
-		WallMS:            float64(time.Since(start)) / float64(time.Millisecond),
-	}
+	rec := t.record()
+	rec.T = sc.UpdatePeriod
+	rec.FinalPotential, rec.PhiStar, rec.Gap = res.FinalPotential, phiStar, res.FinalPotential-phiStar
+	rec.UnsatisfiedPhases, rec.Phases, rec.Converged = res.UnsatisfiedPhases, res.Phases, res.Stopped
+	rec.ElapsedSim = res.Elapsed
+	rec.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if t.Delta > 0 {
 		pathLat := finalInst.PathLatencies(res.Final)
-		if c.Weak {
-			rec.AtEquilibrium = finalInst.AtWeakApproxEquilibrium(res.Final, pathLat, t.Delta, c.Eps)
+		if t.Weak {
+			rec.AtEquilibrium = finalInst.AtWeakApproxEquilibrium(res.Final, pathLat, t.Delta, t.Eps)
 		} else {
-			rec.AtEquilibrium = finalInst.AtApproxEquilibrium(res.Final, pathLat, t.Delta, c.Eps)
+			rec.AtEquilibrium = finalInst.AtApproxEquilibrium(res.Final, pathLat, t.Delta, t.Eps)
 		}
 	}
 	return rec

@@ -13,11 +13,11 @@ import (
 
 // TaskSpec is the JSON document of one self-contained sweep task: the task's
 // run identity (the axes of one campaign cell × seed) together with the
-// campaign-level run-shape scalars that Task.Fingerprint can treat as shared
-// context but a remote worker cannot. It is the wire unit of distributed
-// sweeps — the body of POST /v1/tasks — and its fingerprint is the durable
-// cache key under which the task's record is memoized, so identical cells
-// from different campaigns (or re-submitted campaigns) dedup across runs.
+// campaign-level run-shape scalars. Every expanded Task carries its spec. It
+// is the wire unit of distributed sweeps — the body of POST /v1/tasks — and
+// its fingerprint groups duplicate tasks (see Units) and is the durable cache
+// key under which the task's record is memoized, so identical cells from
+// different campaigns (or re-submitted campaigns) dedup across runs.
 type TaskSpec struct {
 	Topology Topology   `json:"topology"`
 	Policy   PolicySpec `json:"policy"`
@@ -29,6 +29,8 @@ type TaskSpec struct {
 	// Delta is the (δ,ε) accounting width (<= 0 disables).
 	Delta float64 `json:"delta,omitempty"`
 	// Timeline is the task's timelines-axis entry (absent = stationary run).
+	// Expanded tasks of one axis entry share the pointer; the entry is never
+	// mutated after expansion.
 	Timeline *TimelineSpec `json:"timeline,omitempty"`
 	// Seed is the derived per-task seed, already resolved by the campaign
 	// expansion — remote workers use it verbatim.
@@ -43,30 +45,7 @@ type TaskSpec struct {
 	Streak    int     `json:"streak,omitempty"`
 }
 
-// NewTaskSpec renders one expanded campaign task as a self-contained spec.
-// The resulting spec runs exactly as the task would inside sweep.Run — same
-// seed, same run shape — so its record (modulo the bookkeeping ID/SeedIndex,
-// which a spec does not carry) is byte-identical to the local one.
-func NewTaskSpec(c *Campaign, t Task) *TaskSpec {
-	return &TaskSpec{
-		Topology:  t.Topology,
-		Policy:    t.Policy,
-		Period:    t.Period,
-		Agents:    t.Agents,
-		Count:     t.Count,
-		Delta:     t.Delta,
-		Timeline:  t.Timeline,
-		Seed:      t.Seed,
-		Horizon:   c.Horizon,
-		MaxPhases: c.MaxPhases,
-		Start:     c.Start,
-		Eps:       c.Eps,
-		Weak:      c.Weak,
-		Streak:    c.Streak,
-	}
-}
-
-// campaign reconstitutes the run-shape context runTask reads.
+// campaign reconstitutes the one-cell campaign Validate checks.
 func (ts *TaskSpec) campaign() *Campaign {
 	c := &Campaign{
 		Topologies:    []Topology{ts.Topology},
@@ -92,21 +71,6 @@ func (ts *TaskSpec) campaign() *Campaign {
 	return c
 }
 
-// task reconstitutes the Task. ID and SeedIndex are bookkeeping the spec
-// does not carry; the submitter rebinds them on the returned record.
-func (ts *TaskSpec) task() Task {
-	return Task{
-		Topology: ts.Topology,
-		Policy:   ts.Policy,
-		Period:   ts.Period,
-		Agents:   ts.Agents,
-		Count:    ts.Count,
-		Delta:    ts.Delta,
-		Timeline: ts.Timeline,
-		Seed:     ts.Seed,
-	}
-}
-
 // Validate checks the spec the way campaign validation would: component
 // selections resolve through the catalogs, populations and run-shape scalars
 // are in range.
@@ -117,10 +81,10 @@ func (ts *TaskSpec) Validate() error {
 	return ts.campaign().Validate()
 }
 
-// Fingerprint is the canonical-JSON SHA-256 of the spec — the distributed
-// layer's cache key and sharding key. Unlike Task.Fingerprint (which omits
-// the campaign scalars shared within one run), it covers every input that
-// determines the record, so it is safe as a durable cross-campaign identity.
+// Fingerprint is the canonical-JSON SHA-256 of the spec — the key Units
+// groups duplicate tasks by, and the distributed layer's sharding and cache
+// key. It covers every input that determines the record, so it is safe as a
+// durable cross-campaign identity.
 func (ts *TaskSpec) Fingerprint() (string, error) {
 	return canon.Fingerprint(ts)
 }
@@ -129,7 +93,7 @@ func (ts *TaskSpec) Fingerprint() (string, error) {
 // the identity fields filled the same way a local per-task failure would
 // fill them.
 func (ts *TaskSpec) ErrorRecord(err error) Record {
-	return errorRecord(ts.task(), err)
+	return errorRecord(Task{TaskSpec: *ts}, err)
 }
 
 // ParseTaskSpec decodes a JSON task specification, rejecting unknown fields,
@@ -169,5 +133,5 @@ func RunTaskSpec(ctx context.Context, ts *TaskSpec, cache *InstanceCache, ws *fl
 	if cache == nil {
 		cache = NewInstanceCache()
 	}
-	return runTaskIsolated(ctx, ts.campaign(), ts.task(), &cache.m, ws)
+	return runTaskIsolated(ctx, Task{TaskSpec: *ts}, &cache.m, ws)
 }

@@ -45,11 +45,10 @@ func TestRunTaskSpecMatchesLocalRun(t *testing.T) {
 	cache := NewInstanceCache()
 	ws := flow.NewWorkspace()
 	for _, task := range tasks {
-		spec := NewTaskSpec(c, task)
-		if err := spec.Validate(); err != nil {
+		if err := task.Validate(); err != nil {
 			t.Fatalf("task %d spec invalid: %v", task.ID, err)
 		}
-		rec, aborted := RunTaskSpec(context.Background(), spec, cache, ws)
+		rec, aborted := RunTaskSpec(context.Background(), &task.TaskSpec, cache, ws)
 		if aborted {
 			t.Fatalf("task %d aborted without cancellation", task.ID)
 		}
@@ -67,13 +66,13 @@ func TestTaskSpecFingerprintCoversRunShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := NewTaskSpec(c, tasks[0])
+	spec := &tasks[0].TaskSpec
 	fp1, err := spec.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Task.Fingerprint may ignore campaign scalars; TaskSpec.Fingerprint
-	// must not — the durable store is shared across campaigns.
+	// The fingerprint covers the campaign scalars — the durable store is
+	// shared across campaigns.
 	longer := *spec
 	longer.MaxPhases = 50
 	fp2, err := longer.Fingerprint()
@@ -150,7 +149,7 @@ func TestTaskSpecWireGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := NewTaskSpec(c, tasks[tc.id])
+		spec := &tasks[tc.id].TaskSpec
 		body, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)

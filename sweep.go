@@ -50,7 +50,7 @@ type SweepCell = sweep.Cell
 func ParseCampaign(r io.Reader) (*Campaign, error) { return sweep.ParseCampaign(r) }
 
 // RunSweep expands the campaign into its deterministic task list and executes
-// every task on a worker pool, streaming one JSONL record per run to
+// every task on a worker pool, streaming one canonical JSONL record per run to
 // opts.Results. Task failures (including panics) are isolated into per-task
 // records; the returned error is reserved for invalid campaigns, context
 // cancellation and sink failures.
