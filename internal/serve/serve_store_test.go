@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +163,58 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 	resp, _ = postJSON(t, ts2.URL+"/v1/tasks", taskDoc)
 	if got := resp.Header.Get("X-Cache"); got != TierHit {
 		t.Fatalf("post-promotion X-Cache = %q, want %s", got, TierHit)
+	}
+}
+
+// TestCorruptStoredTaskIsRecomputed damages a stored task record's header
+// so that it declares a 2⁶²-byte payload: the next server to read it must
+// count a store error, recompute the record and answer 200, never panic.
+func TestCorruptStoredTaskIsRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, ts1 := newTestServer(t, Config{Workers: 1, Store: st1})
+	resp, want := postJSON(t, ts1.URL+"/v1/tasks", taskDoc)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, want)
+	}
+	key := s1.cache.key(resp.Header.Get("X-Fingerprint"))
+	path := filepath.Join(dir, "objects", key[:2], key[2:])
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, payload, _ := strings.Cut(string(raw), "\n")
+	fields := strings.Fields(header)
+	damaged := fmt.Sprintf("%s %s %d\n%s", fields[0], fields[1], int64(1)<<62, payload)
+	if err := os.WriteFile(path, []byte(damaged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newTestServer(t, Config{Workers: 1, Store: st2})
+	resp, body := postJSON(t, ts2.URL+"/v1/tasks", taskDoc)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != TierMiss {
+		t.Fatalf("corrupt object: status %d X-Cache %q (%s), want 200 miss", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	if string(body) != string(want) {
+		t.Fatalf("recomputed record differs:\n got %s\nwant %s", body, want)
+	}
+	if runs := s2.EngineRuns(); runs != 1 {
+		t.Fatalf("EngineRuns = %d, want 1", runs)
+	}
+	var m Metrics
+	getJSON(t, ts2.URL+"/metrics", &m)
+	if m.StoreErrors != 1 || m.StorePuts != 1 {
+		t.Fatalf("store errors/puts = %d/%d, want 1/1", m.StoreErrors, m.StorePuts)
+	}
+	if got, err := st2.Get(key); err != nil || string(got) != string(want) {
+		t.Fatalf("healed object = %q, %v", got, err)
 	}
 }
 

@@ -199,7 +199,11 @@ func (s *Store) Get(key string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	data, err := readObject(f)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data, err := readObject(f, info.Size())
 	if err != nil {
 		// Quarantine by deletion: the next Put recomputes the result and
 		// heals the slot. The accounting loses the (unknowable) corrupt
@@ -217,14 +221,17 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return data, nil
 }
 
-// readObject parses and validates one object file.
-func readObject(r io.Reader) ([]byte, error) {
+// readObject parses and validates one object file of size bytes. The
+// header's payload length must account for exactly the bytes after the
+// header line before anything is allocated, so a damaged length can neither
+// request an impossible buffer nor leave data unread.
+func readObject(r io.Reader, size int64) ([]byte, error) {
 	br := bufio.NewReader(r)
-	line, err := br.ReadString('\n')
+	line, err := br.ReadSlice('\n')
 	if err != nil {
 		return nil, fmt.Errorf("header: %v", err)
 	}
-	fields := strings.Fields(strings.TrimSuffix(line, "\n"))
+	fields := strings.Fields(string(line))
 	if len(fields) != 3 || fields[0] != headerMagic {
 		return nil, errors.New("bad header")
 	}
@@ -236,12 +243,12 @@ func readObject(r io.Reader) ([]byte, error) {
 	if err != nil || n < 0 {
 		return nil, errors.New("bad header length")
 	}
+	if rest := size - int64(len(line)); n != rest {
+		return nil, fmt.Errorf("header length %d, but %d payload bytes on disk", n, rest)
+	}
 	data := make([]byte, n)
 	if _, err := io.ReadFull(br, data); err != nil {
 		return nil, fmt.Errorf("payload: %v", err)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, errors.New("trailing data after payload")
 	}
 	sum := sha256.Sum256(data)
 	for i := range sum {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,34 +153,103 @@ func TestCorruptionDetectedOnRead(t *testing.T) {
 	}
 }
 
-// TestHeaderGarbageIsCorrupt covers the other damage class: a mangled
-// header (truncation, wrong magic) must also read as ErrCorrupt.
+// objectFile renders payload as an object file whose header declares digest
+// and length n.
+func objectFile(digest string, n int, payload string) []byte {
+	return []byte(fmt.Sprintf("%s %s %d\n%s", headerMagic, digest, n, payload))
+}
+
+// digestOf is the hex SHA-256 of payload.
+func digestOf(payload string) string {
+	sum := sha256.Sum256([]byte(payload))
+	return hex.EncodeToString(sum[:])
+}
+
+// corruptObjects are damaged object files, each of which Get must report as
+// ErrCorrupt and quarantine. A length no file can back (2⁶²) must be
+// rejected before the payload buffer is allocated.
+var corruptObjects = []struct {
+	name string
+	raw  []byte
+}{
+	{"empty file", nil},
+	{"header without newline", []byte(headerMagic)},
+	{"bad magic", []byte("notmagic " + digestOf("abc") + " 3\nabc")},
+	{"bad digest hex", []byte(headerMagic + " zz 3\nabc")},
+	{"negative length", objectFile(digestOf("abc"), -1, "abc")},
+	{"length 2^62", objectFile(digestOf("abc"), 1<<62, "abc")},
+	{"length past end of file", objectFile(digestOf("abc"), 999, "abc")},
+	{"trailing data", objectFile(digestOf("abc"), 3, "abcd")},
+	{"digest mismatch", objectFile(digestOf("abd"), 3, "abc")},
+}
+
+// TestHeaderGarbageIsCorrupt covers damage to an object file beyond its
+// payload bytes — an unreadable header, a false length, extra bytes or a
+// wrong digest: each must read as ErrCorrupt and leave the slot empty.
 func TestHeaderGarbageIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, garbage := range [][]byte{
-		nil,                            // empty file
-		[]byte("wardstore1"),           // truncated header, no newline
-		[]byte("notmagic x 3\nabc"),    // wrong magic
-		[]byte("wardstore1 zz 3\nabc"), // undecodable digest
-		[]byte("wardstore1 " + key("x") + " -1\nabc"),  // negative length
-		[]byte("wardstore1 " + key("x") + " 999\nabc"), // short payload
-	} {
-		k := key(fmt.Sprint("g", i))
-		path := filepath.Join(dir, "objects", k[:2], k[2:])
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, garbage, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Get(k); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("case %d: Get = %v, want ErrCorrupt", i, err)
-		}
+	for _, tc := range corruptObjects {
+		t.Run(tc.name, func(t *testing.T) {
+			k := key(tc.name)
+			path := filepath.Join(dir, "objects", k[:2], k[2:])
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Get(k); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Get = %v, want ErrCorrupt", err)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("corrupt object not quarantined: stat = %v", err)
+			}
+		})
 	}
+}
+
+// FuzzStoreGet writes arbitrary bytes as an object file: Get must either
+// report ErrCorrupt and remove the file, or return a payload whose SHA-256
+// is the digest its header records. It must never panic.
+func FuzzStoreGet(f *testing.F) {
+	f.Add(objectFile(digestOf(`{"result":42}`), 13, `{"result":42}`))
+	for _, tc := range corruptObjects {
+		f.Add(tc.raw)
+	}
+	dir := f.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	k := key("fuzz")
+	path := filepath.Join(dir, "objects", k[:2], k[2:])
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Get(k)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Get = %v, want nil or ErrCorrupt", err)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("corrupt object not quarantined: stat = %v", err)
+			}
+			return
+		}
+		header, _, _ := bytes.Cut(raw, []byte("\n"))
+		fields := strings.Fields(string(header))
+		if len(fields) != 3 || fields[1] != digestOf(string(got)) {
+			t.Fatalf("Get returned %q, whose digest is not the header's %q", got, header)
+		}
+	})
 }
 
 // TestSweepEvictsLeastRecentlyUsed fills the store past its budget and
