@@ -23,8 +23,9 @@ func (s squareLatency) Integral(x float64) float64   { return s.C * x * x * x / 
 func (s squareLatency) SlopeBound() float64          { return 2 * s.C }
 func (s squareLatency) String() string               { return fmt.Sprintf("square(%g)", s.C) }
 
-// registerTestComponents registers the test latency kind and topology family
-// once per test binary (the registries are process-global).
+// registered registers the test latency kind, topology family and start
+// distribution once per test binary (the registries are process-global, so
+// a repeated run must not register them again).
 var registered = func() bool {
 	err := wardrop.RegisterLatency(wardrop.LatencyEntry{
 		Name: "testsquare",
@@ -70,6 +71,23 @@ var registered = func() bool {
 					}
 					return wardrop.ParallelLinks(lats)
 				},
+			}, nil
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+	err = wardrop.RegisterStart(wardrop.StartEntry{
+		Name: "testfirstpath",
+		Doc:  "test-only start: everything on each commodity's first path",
+		Build: func(json.RawMessage) (wardrop.StartFunc, error) {
+			return func(inst *wardrop.Instance) (wardrop.Flow, error) {
+				f := make(wardrop.Flow, inst.NumPaths())
+				for i := 0; i < inst.NumCommodities(); i++ {
+					lo, _ := inst.CommodityRange(i)
+					f[lo] = inst.Commodity(i).Demand
+				}
+				return f, nil
 			}, nil
 		},
 	})
@@ -262,23 +280,6 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 // A user-registered start distribution is selectable from scenario files.
 func TestRegisteredStartFlowsThroughScenarios(t *testing.T) {
 	_ = registered
-	err := wardrop.RegisterStart(wardrop.StartEntry{
-		Name: "testfirstpath",
-		Doc:  "test-only start: everything on each commodity's first path",
-		Build: func(json.RawMessage) (wardrop.StartFunc, error) {
-			return func(inst *wardrop.Instance) (wardrop.Flow, error) {
-				f := make(wardrop.Flow, inst.NumPaths())
-				for i := 0; i < inst.NumCommodities(); i++ {
-					lo, _ := inst.CommodityRange(i)
-					f[lo] = inst.Commodity(i).Demand
-				}
-				return f, nil
-			}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	doc := `{
 	  "topology": {"family": "pigou"},
 	  "policy": {"kind": "uniform"},

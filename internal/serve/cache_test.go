@@ -55,25 +55,32 @@ func TestLRUDisabled(t *testing.T) {
 	}
 }
 
-// TestJobPanicIsolation poisons a topology family whose constructor panics:
-// the job must fail with a recorded panic while the worker (and every later
-// request) keeps serving.
-func TestJobPanicIsolation(t *testing.T) {
+// panicFamily is a topology family whose constructor panics, registered
+// once per test binary (the registries are process-global, so a repeated
+// run must not register it again).
+var panicFamily = func() string {
+	const name = "serve-test-panics"
 	err := topo.Catalog.Register(catalog.Entry[topo.Builder]{
-		Name: "serve-test-panics",
+		Name: name,
 		Doc:  "test-only family whose constructor panics",
 		Build: func(args json.RawMessage) (topo.Builder, error) {
-			return topo.Builder{Key: "serve-test-panics", New: func(seed uint64) (*flow.Instance, error) {
+			return topo.Builder{Key: name, New: func(seed uint64) (*flow.Instance, error) {
 				panic("deliberate test panic")
 			}}, nil
 		},
 	})
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
+	return name
+}()
 
+// TestJobPanicIsolation poisons a topology family whose constructor panics:
+// the job must fail with a recorded panic while the worker (and every later
+// request) keeps serving.
+func TestJobPanicIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	doc := `{"topology":{"family":"serve-test-panics"},"policy":{"kind":"replicator"},"updatePeriod":0.05,"maxPhases":10}`
+	doc := `{"topology":{"family":"` + panicFamily + `"},"policy":{"kind":"replicator"},"updatePeriod":0.05,"maxPhases":10}`
 	resp, body := postJSON(t, ts.URL+"/v1/scenarios", doc)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("poisoned job status %d (%s), want 422", resp.StatusCode, body)
