@@ -434,7 +434,8 @@ func (co *coordinator) sleep(d time.Duration) bool {
 // attempt submits the unit's spec to the node once and classifies the
 // outcome. A 200 is the task's record — possibly one carrying a task-level
 // error, which is a completed outcome, not a failure. A 503 with Retry-After
-// is the node shedding load (retry here, later); any other failure mode —
+// is the node shedding load (retry here, later); a 400 or 413 rejects the
+// spec itself (recorded as the task's error); any other failure mode —
 // transport errors, draining, 5xx, an unparseable body — condemns the node.
 func (co *coordinator) attempt(node int, u *unit) (rec sweep.Record, retryAfter time.Duration, verd verdict, err error) {
 	req, err := http.NewRequestWithContext(co.ctx, http.MethodPost, co.workers[node]+"/v1/tasks", bytes.NewReader(u.body))
@@ -475,8 +476,8 @@ func (co *coordinator) attempt(node int, u *unit) (rec sweep.Record, retryAfter 
 			retryAfter = time.Duration(secs) * time.Second
 		}
 		return rec, retryAfter, vRetry, fmt.Errorf("%s: %s", co.workers[node], strings.TrimSpace(string(body)))
-	case resp.StatusCode == http.StatusBadRequest:
-		// Cannot happen for coordinator-built specs; recorded, not retried.
+	case resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusRequestEntityTooLarge:
+		// The node refused this spec, not all work: recorded, not retried.
 		return rec, 0, vTaskFail, fmt.Errorf("%s: %s", co.workers[node], strings.TrimSpace(string(body)))
 	default:
 		return rec, 0, vNodeDead, fmt.Errorf("%s: status %d: %s", co.workers[node], resp.StatusCode, strings.TrimSpace(string(body)))

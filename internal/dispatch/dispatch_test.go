@@ -258,6 +258,49 @@ func TestCancellationPropagates(t *testing.T) {
 	}
 }
 
+// TestRejectedSpecIsATaskError pins how the coordinator reads a node that
+// refuses a spec: a 400 (invalid document) or 413 (oversized body) is the
+// task's error record, and the node stays alive for the rest of the run.
+func TestRejectedSpecIsATaskError(t *testing.T) {
+	for _, status := range []int{http.StatusBadRequest, http.StatusRequestEntityTooLarge} {
+		t.Run(http.StatusText(status), func(t *testing.T) {
+			node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(status)
+				_, _ = w.Write([]byte(`{"error":"refused"}` + "\n"))
+			}))
+			defer node.Close()
+			var deaths int
+			var mu sync.Mutex
+			res, err := Run(context.Background(), parseCampaign(t, campaignDoc), []string{node.URL}, Options{
+				Events: func(ev Event) {
+					mu.Lock()
+					defer mu.Unlock()
+					if ev.Kind == EventNodeDead {
+						deaths++
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Records) != len(res.Tasks) || len(res.Records) == 0 {
+				t.Fatalf("records = %d for %d tasks", len(res.Records), len(res.Tasks))
+			}
+			for _, r := range res.Records {
+				if !strings.Contains(r.Error, "refused") {
+					t.Fatalf("record %d error = %q, want the node's refusal", r.ID, r.Error)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if deaths != 0 {
+				t.Fatalf("node-dead events = %d, want 0", deaths)
+			}
+		})
+	}
+}
+
 func TestNoWorkers(t *testing.T) {
 	if _, err := Run(context.Background(), parseCampaign(t, campaignDoc), nil, Options{}); err == nil {
 		t.Fatal("no-worker run succeeded")

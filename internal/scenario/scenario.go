@@ -95,7 +95,7 @@ func Parse(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadScenario, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadScenario, err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -649,7 +649,7 @@ func ParseCampaign(r io.Reader) (*Campaign, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCampaign, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadCampaign, err)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -103,7 +103,7 @@ func ParseTaskSpec(r io.Reader) (*TaskSpec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&ts); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCampaign, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadCampaign, err)
 	}
 	if err := ts.Validate(); err != nil {
 		return nil, err
