@@ -388,26 +388,6 @@ func TestCampaignJobStreamAndMemoization(t *testing.T) {
 	}
 }
 
-func TestQueueFullRejects(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	// Occupy the single worker with a slow async job...
-	resp, body := postJSON(t, ts.URL+"/v1/scenarios?mode=job", slowDoc)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("slow job status %d (%s)", resp.StatusCode, body)
-	}
-	// ...fill the queue, allowing for the race where the worker dequeues
-	// the first job before the filler lands...
-	var sawFull bool
-	for i := 0; i < 3 && !sawFull; i++ {
-		doc := strings.Replace(slowDoc, "slow", fmt.Sprintf("slow-%d", i), 1)
-		resp, _ = postJSON(t, ts.URL+"/v1/scenarios?mode=job", doc)
-		sawFull = resp.StatusCode == http.StatusServiceUnavailable
-	}
-	if !sawFull {
-		t.Fatal("queue never reported full")
-	}
-}
-
 func TestGracefulCloseDrainsQueuedJobs(t *testing.T) {
 	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s)
