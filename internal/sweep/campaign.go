@@ -503,8 +503,13 @@ func (c *Campaign) Validate() error {
 		return err
 	}
 	for _, d := range c.Deltas {
-		if d <= 0 {
+		if !(d > 0) {
 			return fmt.Errorf("%w: delta axis value %g must be positive", ErrBadCampaign, d)
+		}
+	}
+	for _, p := range c.UpdatePeriods {
+		if !p.Safe && !(p.T > 0 && p.T < math.Inf(1)) {
+			return fmt.Errorf("%w: update period %g must be \"safe\" or positive and finite", ErrBadCampaign, p.T)
 		}
 	}
 	for i := range c.Timelines {

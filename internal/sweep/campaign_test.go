@@ -3,6 +3,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -125,6 +126,24 @@ func TestParseCampaignErrors(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		} else if !errors.Is(err, ErrBadCampaign) && name != "custom no doc" {
 			t.Errorf("%s: error %v does not wrap ErrBadCampaign", name, err)
+		}
+	}
+}
+
+// TestValidateRejectsBadAxisValues covers axis values no JSON document can
+// carry, so only a campaign built in Go reaches Validate with them.
+func TestValidateRejectsBadAxisValues(t *testing.T) {
+	cases := map[string]func(*Campaign){
+		"NaN delta":       func(c *Campaign) { c.Deltas = []float64{math.NaN()} },
+		"NaN period":      func(c *Campaign) { c.UpdatePeriods = []Period{{T: math.NaN()}} },
+		"negative period": func(c *Campaign) { c.UpdatePeriods = []Period{{T: -1}} },
+		"zero period":     func(c *Campaign) { c.UpdatePeriods = []Period{{}} },
+	}
+	for name, edit := range cases {
+		c := parseDemo(t)
+		edit(c)
+		if err := c.Validate(); !errors.Is(err, ErrBadCampaign) {
+			t.Errorf("%s: Validate = %v, want ErrBadCampaign", name, err)
 		}
 	}
 }
