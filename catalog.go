@@ -161,21 +161,8 @@ func DecodeCatalogParams(args json.RawMessage, v any) error { return catalog.Dec
 
 // Catalog lists every registered component — builtin and user-registered —
 // in deterministic order: component kinds in fixed dependency order, names
-// sorted within each kind.
-func Catalog() []CatalogComponent {
-	var out []CatalogComponent
-	out = append(out, latency.Catalog.Describe()...)
-	out = append(out, topo.Catalog.Describe()...)
-	out = append(out, policy.Samplers.Describe()...)
-	out = append(out, policy.Migrators.Describe()...)
-	out = append(out, engine.Catalog.Describe()...)
-	out = append(out, engine.Integrators.Describe()...)
-	out = append(out, engine.Starts.Describe()...)
-	out = append(out, timeline.Schedules.Describe()...)
-	out = append(out, timeline.Events.Describe()...)
-	out = append(out, timeline.Tolls.Describe()...)
-	return out
-}
+// sorted within each kind. A Server's /v1/catalog serves the same listing.
+func Catalog() []CatalogComponent { return scenario.Catalog() }
 
 // WriteCatalog renders the component catalog as an indented human-readable
 // listing grouped by component kind — the output of the CLIs' -list flag.

@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"wardrop"
+	"wardrop/internal/serve"
 )
 
 // squareLatency is a user-defined latency function ℓ(x) = c·x², used to
@@ -274,6 +277,23 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("duplicate start registration accepted")
+	}
+}
+
+// A server built from the zero Config serves exactly Catalog() on
+// /v1/catalog, user registrations and the timeline components included.
+func TestServerCatalogIsCatalog(t *testing.T) {
+	_ = registered
+	s := serve.New(serve.Config{})
+	defer s.Close(context.Background())
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/catalog", nil))
+	want, err := json.Marshal(wardrop.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Body.String(); got != string(want)+"\n" {
+		t.Errorf("/v1/catalog = %s\nwant %s", got, want)
 	}
 }
 

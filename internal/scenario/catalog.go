@@ -1,21 +1,18 @@
-package serve
+package scenario
 
 import (
 	"wardrop/internal/catalog"
 	"wardrop/internal/engine"
 	"wardrop/internal/latency"
 	"wardrop/internal/policy"
+	"wardrop/internal/timeline"
 	"wardrop/internal/topo"
-
-	// Register the "custom" topology family so served campaign specs accept
-	// embedded instance documents.
-	_ "wardrop/internal/spec"
 )
 
-// defaultCatalog aggregates every component registry in the same
-// deterministic order as the root Catalog() export; servers built through
-// the root API pass that export directly instead.
-func defaultCatalog() []catalog.Description {
+// Catalog lists every component a scenario or campaign document can select
+// — builtin and user-registered — in deterministic order: component kinds in
+// fixed dependency order, names sorted within each kind.
+func Catalog() []catalog.Description {
 	var out []catalog.Description
 	out = append(out, latency.Catalog.Describe()...)
 	out = append(out, topo.Catalog.Describe()...)
@@ -24,5 +21,8 @@ func defaultCatalog() []catalog.Description {
 	out = append(out, engine.Catalog.Describe()...)
 	out = append(out, engine.Integrators.Describe()...)
 	out = append(out, engine.Starts.Describe()...)
+	out = append(out, timeline.Schedules.Describe()...)
+	out = append(out, timeline.Events.Describe()...)
+	out = append(out, timeline.Tolls.Describe()...)
 	return out
 }

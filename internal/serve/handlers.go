@@ -9,9 +9,9 @@ import (
 	"errors"
 	"io"
 	"net/http"
-
 	"strconv"
 
+	"wardrop/internal/flow"
 	"wardrop/internal/obs"
 	"wardrop/internal/scenario"
 	"wardrop/internal/sweep"
@@ -30,8 +30,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // parseSpec decodes the request body through parse, distinguishing an
-// oversized body (413) from an invalid document (400).
-func parseSpec[T any](w http.ResponseWriter, r *http.Request, parse func(io.Reader) (T, error)) (T, bool) {
+// oversized body (413) from an invalid document (400), and answers the
+// document's fingerprint in X-Fingerprint (500 if it cannot be computed).
+func parseSpec[T interface{ Fingerprint() (string, error) }](w http.ResponseWriter, r *http.Request, parse func(io.Reader) (T, error)) (v T, fp string, ok bool) {
 	v, err := parse(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -40,9 +41,14 @@ func parseSpec[T any](w http.ResponseWriter, r *http.Request, parse func(io.Read
 		} else {
 			writeError(w, http.StatusBadRequest, err)
 		}
-		return v, false
+		return v, "", false
 	}
-	return v, true
+	if fp, err = v.Fingerprint(); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return v, "", false
+	}
+	w.Header().Set("X-Fingerprint", fp)
+	return v, fp, true
 }
 
 // maxTraceSpans caps the per-job tracer ring a client may request; the ring
@@ -155,7 +161,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cfg.Catalog())
+	writeJSON(w, http.StatusOK, scenario.Catalog())
 }
 
 // handleMetrics answers GET /metrics. The default body is the JSON Metrics
@@ -204,85 +210,61 @@ func (s *Server) MetricsSnapshot() Metrics {
 	}
 }
 
-// handleScenarios answers POST /v1/scenarios: parse, fingerprint, serve
-// from the result cache when possible, otherwise schedule. The default mode
-// runs synchronously — the response body is the scenario's canonical result
-// document, byte-identical to `wardsim -scenario <file> -json` on the same
-// spec. `?mode=job` detaches the run from the request and answers with a
-// job resource instead (stream the trajectory from /v1/jobs/{id}/stream).
-func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	spec, ok := parseSpec(w, r, scenario.Parse)
+// submission is what a POST handler hands the shared submission path: the
+// job kind, the document's fingerprint, the Content-Type of a synchronous
+// answer's body, and whether the job is detached from the request.
+type submission struct {
+	kind, fingerprint, contentType string
+	async                          bool
+}
+
+// answerCached answers the submission from the cache tiers and reports
+// whether it could. A synchronous hit writes the cached document; an
+// asynchronous one registers a job born done and answers its resource.
+func (s *Server) answerCached(w http.ResponseWriter, sub submission) bool {
+	body, tier, ok := s.cacheGet(sub.kind, sub.fingerprint)
 	if !ok {
-		return
+		return false
 	}
-	fp, err := spec.Fingerprint()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("X-Fingerprint", fp)
-	async := r.URL.Query().Get("mode") == "job"
-	// ?trace=N attaches a span tracer (ring capacity N) to the run; each
-	// recorded span is streamed as a {"span":…} NDJSON line. A request
-	// answered from the cache ran no engine and therefore carries no spans.
-	trace := 0
-	if t := r.URL.Query().Get("trace"); t != "" {
-		n, err := strconv.Atoi(t)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, errors.New("serve: trace must be a non-negative integer"))
-			return
-		}
-		if n > maxTraceSpans {
-			n = maxTraceSpans
-		}
-		trace = n
-	}
-	if body, tier, ok := s.cacheGet(kindScenario, fp); ok {
-		if !async {
-			w.Header().Set("X-Cache", tier)
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(body)
-			return
-		}
-		j := newJob(kindScenario, fp, context.Background(), maxStreamBytes)
-		j.spec = spec
+	if sub.async {
+		j := newJob(sub.kind, sub.fingerprint, context.Background(), maxStreamBytes)
 		j.complete(body, true)
 		s.register(j)
 		writeJSON(w, http.StatusOK, j.status())
-		return
+		return true
 	}
-	if async {
-		// Detached from the request: an async job outlives its submitter
-		// and is cancelled only by server shutdown.
-		j := newJob(kindScenario, fp, context.Background(), maxStreamBytes)
-		j.spec = spec
-		j.trace = trace
-		s.register(j)
-		if err := s.submit(j); err != nil {
-			j.fail(err)
-			writeSubmitError(w, err)
-			return
-		}
-		// Only scheduled work counts as a miss: a 503'd request never
-		// consulted an engine, so it must not dilute the hit rate.
-		s.met.cacheMisses.Add(1)
-		writeJSON(w, http.StatusAccepted, j.status())
-		return
-	}
+	w.Header().Set("X-Cache", tier)
+	w.Header().Set("Content-Type", sub.contentType)
+	_, _ = w.Write(body)
+	return true
+}
 
-	// Synchronous: the job inherits the request context, so a client
-	// disconnect cancels the simulation between phases and frees the worker
-	// slot; the job is left failed for the audit trail.
-	j := newJob(kindScenario, fp, r.Context(), maxStreamBytes)
-	j.spec = spec
-	j.trace = trace
+// schedule queues a job that runs the submission. An asynchronous job is
+// detached from the request — only server shutdown cancels it — and is
+// answered with its job resource. A synchronous job inherits the request
+// context, so a client disconnect cancels the run between phases and frees
+// the worker slot (the job is left failed for the audit trail); it is
+// answered with the result document, or 422 when the run failed.
+func (s *Server) schedule(w http.ResponseWriter, r *http.Request, sub submission, run func(*job, *flow.Workspace) ([]byte, error)) {
+	parent := r.Context()
+	if sub.async {
+		parent = context.Background()
+	}
+	j := newJob(sub.kind, sub.fingerprint, parent, maxStreamBytes)
+	j.run = run
 	s.register(j)
 	if err := s.submit(j); err != nil {
 		j.fail(err)
 		writeSubmitError(w, err)
 		return
 	}
+	// Only scheduled work counts as a miss: a 503'd request never
+	// consulted an engine, so it must not dilute the hit rate.
 	s.met.cacheMisses.Add(1)
+	if sub.async {
+		writeJSON(w, http.StatusAccepted, j.status())
+		return
+	}
 	<-j.done
 	st := j.status()
 	if st.State == JobFailed {
@@ -294,8 +276,40 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Cache", TierMiss)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", sub.contentType)
 	_, _ = w.Write(j.resultBytes())
+}
+
+// handleScenarios answers POST /v1/scenarios. The default mode runs
+// synchronously — the response body is the scenario's canonical result
+// document, byte-identical to `wardsim -scenario <file> -json` on the same
+// spec. `?mode=job` detaches the run from the request and answers with a
+// job resource instead (stream the trajectory from /v1/jobs/{id}/stream).
+func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
+	spec, fp, ok := parseSpec(w, r, scenario.Parse)
+	if !ok {
+		return
+	}
+	// ?trace=N attaches a span tracer (ring capacity N) to the run; each
+	// recorded span is streamed as a {"span":…} NDJSON line. A request
+	// answered from the cache ran no engine and therefore carries no spans.
+	trace := 0
+	if t := r.URL.Query().Get("trace"); t != "" {
+		n, err := strconv.Atoi(t)
+		if err != nil || n < 0 {
+			writeError(w, http.StatusBadRequest, errors.New("serve: trace must be a non-negative integer"))
+			return
+		}
+		trace = min(n, maxTraceSpans)
+	}
+	sub := submission{kind: kindScenario, fingerprint: fp, contentType: "application/json",
+		async: r.URL.Query().Get("mode") == "job"}
+	if s.answerCached(w, sub) {
+		return
+	}
+	s.schedule(w, r, sub, func(j *job, ws *flow.Workspace) ([]byte, error) {
+		return s.runScenario(j, spec, trace, ws)
+	})
 }
 
 // handleTasks answers POST /v1/tasks: the distributed-sweep work unit. The
@@ -307,43 +321,17 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 // coordinator merging remote records reproduces the local artifact
 // byte-for-byte even when cells fail.
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
-	ts, ok := parseSpec(w, r, sweep.ParseTaskSpec)
+	ts, fp, ok := parseSpec(w, r, sweep.ParseTaskSpec)
 	if !ok {
 		return
 	}
-	fp, err := ts.Fingerprint()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	sub := submission{kind: kindTask, fingerprint: fp, contentType: "application/x-ndjson"}
+	if s.answerCached(w, sub) {
 		return
 	}
-	w.Header().Set("X-Fingerprint", fp)
-	if body, tier, ok := s.cacheGet(kindTask, fp); ok {
-		w.Header().Set("X-Cache", tier)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_, _ = w.Write(body)
-		return
-	}
-	j := newJob(kindTask, fp, r.Context(), maxStreamBytes)
-	j.task = ts
-	s.register(j)
-	if err := s.submit(j); err != nil {
-		j.fail(err)
-		writeSubmitError(w, err)
-		return
-	}
-	s.met.cacheMisses.Add(1)
-	<-j.done
-	st := j.status()
-	if st.State == JobFailed {
-		if r.Context().Err() != nil {
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, errors.New(st.Error))
-		return
-	}
-	w.Header().Set("X-Cache", TierMiss)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_, _ = w.Write(j.resultBytes())
+	s.schedule(w, r, sub, func(j *job, ws *flow.Workspace) ([]byte, error) {
+		return s.runTask(j, ts, ws)
+	})
 }
 
 // handleCampaigns answers POST /v1/campaigns: always asynchronous — the
@@ -351,32 +339,18 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 // completed task followed by the aggregated summary. A campaign whose
 // fingerprint is cached completes immediately with the memoized summary.
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	c, ok := parseSpec(w, r, sweep.ParseCampaign)
+	c, fp, ok := parseSpec(w, r, sweep.ParseCampaign)
 	if !ok {
 		return
 	}
-	fp, err := c.Fingerprint()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	sub := submission{kind: kindCampaign, fingerprint: fp, async: true}
+	if s.answerCached(w, sub) {
 		return
 	}
-	w.Header().Set("X-Fingerprint", fp)
-	j := newJob(kindCampaign, fp, context.Background(), maxStreamBytes)
-	j.campaign = c
-	if body, _, ok := s.cacheGet(kindCampaign, fp); ok {
-		j.complete(body, true)
-		s.register(j)
-		writeJSON(w, http.StatusOK, j.status())
-		return
-	}
-	s.register(j)
-	if err := s.submit(j); err != nil {
-		j.fail(err)
-		writeSubmitError(w, err)
-		return
-	}
-	s.met.cacheMisses.Add(1)
-	writeJSON(w, http.StatusAccepted, j.status())
+	// Campaign workers own their workspaces inside sweep.Run.
+	s.schedule(w, r, sub, func(j *job, _ *flow.Workspace) ([]byte, error) {
+		return s.runCampaign(j, c)
+	})
 }
 
 // handleJobs lists every retained job, oldest first.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"wardrop/internal/flow"
 	"wardrop/internal/obs"
 	"wardrop/internal/scenario"
 	"wardrop/internal/sweep"
@@ -68,23 +69,21 @@ type streamLine struct {
 // window was trimmed.
 var truncatedLine = []byte("{\"truncated\":true}\n")
 
-// job is one scheduled run: the parsed spec, its cancellation scope, and the
-// append-only NDJSON line buffer streams replay and follow.
+// job is one scheduled run: the function that runs it, its cancellation
+// scope, and the append-only NDJSON line buffer streams replay and follow.
 type job struct {
 	id          string
 	kind        string
 	fingerprint string
-	spec        *scenario.Spec
-	campaign    *sweep.Campaign
-	task        *sweep.TaskSpec
-	ctx         context.Context
-	cancel      context.CancelFunc
-	created     time.Time
-	// enqueued is when submit placed the job on the queue (zero for jobs
-	// born done); trace, when positive, attaches a span tracer with that
-	// ring capacity to the run and streams {"span":…} lines.
+	// run executes the job on a worker's workspace and returns its result
+	// document (nil for jobs born done).
+	run    func(*job, *flow.Workspace) ([]byte, error)
+	ctx    context.Context
+	cancel context.CancelFunc
+	// created is when the job was built; enqueued is when submit placed it
+	// on the queue (zero for jobs born done).
+	created  time.Time
 	enqueued time.Time
-	trace    int
 
 	mu     sync.Mutex
 	state  JobState

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wardrop/internal/catalog"
 	"wardrop/internal/dynamics"
 	"wardrop/internal/engine"
 	"wardrop/internal/flow"
@@ -73,9 +72,6 @@ type Config struct {
 	// (default 1, keeping the server's worker pool the only concurrency
 	// authority; raise it on dedicated campaign servers).
 	CampaignWorkers int
-	// Catalog supplies the /v1/catalog listing (default: every component
-	// registry, mirroring the root Catalog() aggregation).
-	Catalog func() []catalog.Description
 	// Metrics, when non-nil, is the obs.Registry the server registers its
 	// instruments in (default: a private registry). Share one registry to
 	// expose several components — the server, a dispatch coordinator, a
@@ -106,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CampaignWorkers <= 0 {
 		c.CampaignWorkers = 1
-	}
-	if c.Catalog == nil {
-		c.Catalog = defaultCatalog
 	}
 	return c
 }
@@ -303,9 +296,10 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job with panic isolation: a poisoned spec fails its
-// own job, never the worker or the process. The job is counted and finished
-// in the metrics before complete or fail releases its waiter, so a client
-// holding its response never scrapes its job as still running.
+// own job, never the worker or the process. A finished document is written
+// through the cache tiers, and the job counted and finished in the metrics,
+// before complete or fail releases its waiter: an immediate repeat is a hit,
+// and a client holding its response never scrapes its job as still running.
 func (s *Server) runJob(j *job, ws *flow.Workspace) {
 	start := time.Now()
 	if !j.enqueued.IsZero() {
@@ -319,6 +313,8 @@ func (s *Server) runJob(j *job, ws *flow.Workspace) {
 	body, err := s.execute(j, ws)
 	if err != nil {
 		s.met.jobsFailed.Add(1)
+	} else {
+		s.cacheAdd(j.kind, j.fingerprint, body)
 	}
 	s.met.jobsRun.Add(1)
 	s.met.observe(time.Since(start))
@@ -339,24 +335,16 @@ func (s *Server) execute(j *job, ws *flow.Workspace) (body []byte, err error) {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	switch j.kind {
-	case kindScenario:
-		return s.runScenario(j, ws)
-	case kindCampaign:
-		return s.runCampaign(j, ws)
-	case kindTask:
-		return s.runTask(j, ws)
-	}
-	return nil, fmt.Errorf("serve: unknown job kind %q", j.kind)
+	return j.run(j, ws)
 }
 
 // runScenario executes a scenario job through the shared Spec.Run path —
 // the same execution `wardsim -scenario` uses, so the encoded result
 // document is byte-identical — streaming trajectory samples and replayed
-// timeline events as they happen, then memoizing and returning the document.
-func (s *Server) runScenario(j *job, ws *flow.Workspace) ([]byte, error) {
+// timeline events as they happen, then returning the document.
+func (s *Server) runScenario(j *job, spec *scenario.Spec, trace int, ws *flow.Workspace) ([]byte, error) {
 	opts := []engine.RunOption{engine.WithWorkspace(ws)}
-	if every := j.spec.RecordEvery; every > 0 {
+	if every := spec.RecordEvery; every > 0 {
 		opts = append(opts, engine.WithObserver(dynamics.ObserverFunc(func(info dynamics.PhaseInfo) bool {
 			if info.Index%every == 0 {
 				j.appendLine(streamLine{Sample: &scenario.TrajectorySample{
@@ -372,15 +360,15 @@ func (s *Server) runScenario(j *job, ws *flow.Workspace) ([]byte, error) {
 	// {"span":…} line — the per-phase cost and convergence residual of the
 	// run, live over the job's NDJSON stream.
 	var tracer *obs.Tracer
-	if j.trace > 0 {
-		tracer = obs.NewTracer(j.trace)
+	if trace > 0 {
+		tracer = obs.NewTracer(trace)
 		tracer.OnSpan(func(sp obs.Span) {
 			j.appendLine(streamLine{Span: &sp})
 		})
 		opts = append(opts, engine.WithObserver(tracer))
 	}
 	s.engineRuns.Add(1)
-	res, events, err := j.spec.Run(j.ctx, func(ev timeline.AppliedEvent) {
+	res, events, err := spec.Run(j.ctx, func(ev timeline.AppliedEvent) {
 		if tracer != nil {
 			tracer.MarkEvent(ev.Action, ev.Time)
 		}
@@ -389,7 +377,7 @@ func (s *Server) runScenario(j *job, ws *flow.Workspace) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := scenario.NewRunResult(j.spec, res, events)
+	doc, err := scenario.NewRunResult(spec, res, events)
 	if err != nil {
 		return nil, err
 	}
@@ -397,9 +385,7 @@ func (s *Server) runScenario(j *job, ws *flow.Workspace) ([]byte, error) {
 	if err := doc.Encode(&buf); err != nil {
 		return nil, err
 	}
-	body := buf.Bytes()
-	s.cacheAdd(kindScenario, j.fingerprint, body)
-	return body, nil
+	return buf.Bytes(), nil
 }
 
 // cacheAdd writes a finished result document through both cache tiers,
@@ -451,9 +437,8 @@ type CampaignResult struct {
 
 // runCampaign executes a campaign job, streaming one record line per
 // completed task and returning the aggregated summary document.
-func (s *Server) runCampaign(j *job, ws *flow.Workspace) ([]byte, error) {
-	_ = ws // campaign workers own their workspaces inside sweep.Run
-	res, err := sweep.Run(j.ctx, j.campaign, sweep.Options{
+func (s *Server) runCampaign(j *job, c *sweep.Campaign) ([]byte, error) {
+	res, err := sweep.Run(j.ctx, c, sweep.Options{
 		Workers: s.cfg.CampaignWorkers,
 		Progress: func(done, total int, rec sweep.Record) {
 			j.appendLine(streamLine{Record: &rec})
@@ -470,7 +455,7 @@ func (s *Server) runCampaign(j *job, ws *flow.Workspace) ([]byte, error) {
 		}
 	}
 	doc := CampaignResult{
-		Name:        j.campaign.Name,
+		Name:        c.Name,
 		Fingerprint: j.fingerprint,
 		Tasks:       len(res.Tasks),
 		Records:     len(res.Records),
@@ -481,9 +466,7 @@ func (s *Server) runCampaign(j *job, ws *flow.Workspace) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	body = append(body, '\n')
-	s.cacheAdd(kindCampaign, j.fingerprint, body)
-	return body, nil
+	return append(body, '\n'), nil
 }
 
 // runTask executes one distributed-sweep task job. Task-level failures (a
@@ -492,8 +475,8 @@ func (s *Server) runCampaign(j *job, ws *flow.Workspace) ([]byte, error) {
 // only when cancelled before producing a record. The memoized document is the
 // canonical record line: wall time is the submitter's measurement to take,
 // and a replayed cache hit carrying a stale wall time would poison it.
-func (s *Server) runTask(j *job, ws *flow.Workspace) ([]byte, error) {
-	rec, aborted := sweep.RunTaskSpec(j.ctx, j.task, s.instCache, ws)
+func (s *Server) runTask(j *job, ts *sweep.TaskSpec, ws *flow.Workspace) ([]byte, error) {
+	rec, aborted := sweep.RunTaskSpec(j.ctx, ts, s.instCache, ws)
 	if aborted {
 		if err := j.ctx.Err(); err != nil {
 			return nil, err
@@ -505,7 +488,5 @@ func (s *Server) runTask(j *job, ws *flow.Workspace) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	body = append(body, '\n')
-	s.cacheAdd(kindTask, j.fingerprint, body)
-	return body, nil
+	return append(body, '\n'), nil
 }

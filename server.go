@@ -22,7 +22,7 @@ import (
 type Server = serve.Server
 
 // ServerConfig parameterises a Server (pool width, queue depth, cache size,
-// catalog source); the zero value uses serving defaults.
+// store tier, metrics registry); the zero value uses serving defaults.
 type ServerConfig = serve.Config
 
 // ServerMetrics is the JSON body of the service's GET /metrics endpoint.
@@ -32,14 +32,9 @@ type ServerMetrics = serve.Metrics
 type ServerJobStatus = serve.JobStatus
 
 // NewServer builds a simulation server and starts its worker pool. The
-// /v1/catalog endpoint serves this package's Catalog() listing — including
-// every user-registered component — unless cfg.Catalog overrides it.
-func NewServer(cfg ServerConfig) *Server {
-	if cfg.Catalog == nil {
-		cfg.Catalog = Catalog
-	}
-	return serve.New(cfg)
-}
+// /v1/catalog endpoint serves this package's Catalog() listing, every
+// user-registered component included.
+func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 
 // Canonical specs and fingerprints --------------------------------------------
 
