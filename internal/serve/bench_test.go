@@ -23,8 +23,7 @@ func BenchmarkCachedTask(b *testing.B) {
 		b.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if rec := post(); rec.Header().Get("X-Cache") != TierHit {
 			b.Fatalf("X-Cache = %q, want %s", rec.Header().Get("X-Cache"), TierHit)
 		}
