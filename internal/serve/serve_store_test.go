@@ -218,6 +218,30 @@ func TestCorruptStoredTaskIsRecomputed(t *testing.T) {
 	}
 }
 
+// TestQueueFullRetryAfterAndHighWater pins the load-shedding contract: a
+// queue-full 503 carries Retry-After, and /metrics exposes the queue bound
+// and its high-water mark.
+func TestQueueFullRetryAfterAndHighWater(t *testing.T) {
+	hold, held := holdFirstJob()
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, jobStarted: hold})
+	fillQueue(t, s, ts, held)
+	full, body := postJSON(t, ts.URL+"/v1/scenarios?mode=job", pigouQuickDoc)
+	if full.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("full-queue status %d (%s), want 503", full.StatusCode, body)
+	}
+	if got := full.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("queue-full Retry-After = %q, want 1", got)
+	}
+	var m Metrics
+	getJSON(t, ts.URL+"/metrics", &m)
+	if m.QueueCapacity != 1 {
+		t.Fatalf("QueueCapacity = %d, want 1", m.QueueCapacity)
+	}
+	if m.QueueHighWater != 1 {
+		t.Fatalf("QueueHighWater = %d, want 1", m.QueueHighWater)
+	}
+}
+
 // TestHealthzReadiness pins the /healthz contract: a healthy store-backed
 // server answers 200 with a passing store probe and queue saturation, a
 // broken durable tier flips the endpoint to 503 with the probe error, and a

@@ -388,6 +388,37 @@ func TestCampaignJobStreamAndMemoization(t *testing.T) {
 	}
 }
 
+// fillQueue fills a server configured with one worker, one queue slot and the
+// hook from holdFirstJob: the first job holds the worker, the second takes
+// the slot. On cleanup it cancels the held job, so the server closes at once.
+func fillQueue(t *testing.T, s *Server, ts *httptest.Server, held <-chan struct{}) {
+	t.Helper()
+	for i, name := range []string{"holder", "filler"} {
+		doc := strings.Replace(pigouQuickDoc, "pigou-quick", name, 1)
+		if resp, body := postJSON(t, ts.URL+"/v1/scenarios?mode=job", doc); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s job status %d (%s)", name, resp.StatusCode, body)
+		}
+		if i == 0 {
+			<-held
+		}
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_ = s.Close(ctx)
+	})
+}
+
+func TestQueueFullRejects(t *testing.T) {
+	hold, held := holdFirstJob()
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, jobStarted: hold})
+	fillQueue(t, s, ts, held)
+	resp, body := postJSON(t, ts.URL+"/v1/scenarios?mode=job", pigouQuickDoc)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("full-queue status %d (%s), want 503", resp.StatusCode, body)
+	}
+}
+
 func TestGracefulCloseDrainsQueuedJobs(t *testing.T) {
 	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s)
